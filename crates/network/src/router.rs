@@ -62,6 +62,9 @@ pub struct RouterLp {
     ports: Vec<OutPort>,
     rng: StdRng,
     faults: FaultView,
+    /// LP id of router 0 (routers follow the terminals in LP order), so a
+    /// port's `peer_lp` maps back to a `RouterId` without the topology.
+    router_lp_base: u32,
     hop_limit: u8,
     drop_without_credit: bool,
     drops: DropCounters,
@@ -131,6 +134,7 @@ impl RouterLp {
             ports,
             rng,
             faults: FaultView::new(),
+            router_lp_base: cfg.num_terminals(),
             hop_limit: spec.hop_limit,
             drop_without_credit: spec.drop_without_credit,
             drops: DropCounters::default(),
@@ -176,14 +180,15 @@ impl RouterLp {
     /// Whether the out link a step uses is up and its far-end router alive.
     /// Ejection links never fail (a dead router is modeled at the router).
     fn step_is_live(&self, step: Step) -> bool {
-        if matches!(step, Step::Eject(_)) {
+        // The common case pays one check per hop: no fault was ever applied.
+        if self.faults.is_clean() || matches!(step, Step::Eject(_)) {
             return true;
         }
         let port = self.step_port(step);
         if self.faults.link_dead(self.id.0, port as u32) {
             return false;
         }
-        let peer = RouterId(self.ports[port].peer_lp.0 - self.topo.config().num_terminals());
+        let peer = RouterId(self.ports[port].peer_lp.0 - self.router_lp_base);
         !self.faults.router_dead(peer.0)
     }
 

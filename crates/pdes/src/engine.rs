@@ -5,7 +5,7 @@
 //! reference: the parallel scheduler in [`crate::parallel`] is required (and
 //! property-tested) to produce identical LP state.
 
-use crate::calendar::{EventQueue, HeapQueue};
+use crate::calendar::{CalendarQueue, EventQueue};
 use crate::error::{SimError, WatchdogConfig};
 use crate::event::{Event, EventKey, LpId, EXTERNAL_SRC};
 use crate::lp::{Ctx, Lp};
@@ -60,7 +60,7 @@ pub struct Engine<P, L: Lp<P>> {
     lps: Vec<L>,
     /// Per-LP event sequence counters (provenance for deterministic order).
     seqs: Vec<u64>,
-    queue: HeapQueue<P>,
+    queue: CalendarQueue<P>,
     now: SimTime,
     stats: EngineStats,
     lookahead: SimTime,
@@ -86,7 +86,7 @@ impl<P, L: Lp<P>> Engine<P, L> {
         Engine {
             lps,
             seqs: vec![0; n],
-            queue: HeapQueue::new(),
+            queue: CalendarQueue::new(1),
             now: SimTime::ZERO,
             stats: EngineStats::default(),
             lookahead,
@@ -189,10 +189,8 @@ impl<P, L: Lp<P>> Engine<P, L> {
         }
     }
 
-    /// Process a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.init();
-        let Some(ev) = self.queue.pop() else { return false };
+    /// Deliver one popped event to its LP and enqueue what the handler sent.
+    fn deliver(&mut self, ev: Event<P>) {
         debug_assert!(ev.key.time >= self.now, "event time went backwards");
         if ev.key.time > self.now {
             self.stalled_events = 0;
@@ -212,30 +210,47 @@ impl<P, L: Lp<P>> Engine<P, L> {
         for ev in self.out_buf.drain(..) {
             self.queue.push(ev);
         }
-        let depth = self.queue.len() as u64;
-        if depth > self.stats.peak_queue_depth {
-            self.stats.peak_queue_depth = depth;
-        }
-        true
+        self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.queue.len() as u64);
     }
 
     /// Run until the queue drains, `until` is passed, or the budget runs out.
     ///
     /// Events with `time >= until` remain queued, so runs can be resumed.
     pub fn run_until(&mut self, until: SimTime) -> RunOutcome {
+        match self.run_loop(until, u64::MAX) {
+            Ok(outcome) => outcome,
+            // lint:allow(panic_unwrap, reason="run_loop only errs on a stall, and the limit is u64::MAX; unreachable! documents the invariant")
+            Err(e) => unreachable!("unchecked run reported a stall: {e}"),
+        }
+    }
+
+    /// The one event loop: pop-and-deliver until the queue drains, the next
+    /// event is at or past `until`, the budget runs out, or more than
+    /// `stall_limit` consecutive events fail to advance virtual time. The
+    /// queue's clock moves only when an event is delivered, so it never
+    /// passes `now` and [`Engine::schedule`]'s assert is all a caller needs.
+    fn run_loop(&mut self, until: SimTime, stall_limit: u64) -> Result<RunOutcome, SimError> {
         self.init();
         // lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
         let t0 = self.collector.is_enabled().then(std::time::Instant::now);
         let outcome = loop {
             if self.stats.events_processed >= self.budget {
-                break RunOutcome::Budget;
+                break Ok(RunOutcome::Budget);
             }
-            match self.queue.peek_key() {
-                None => break RunOutcome::Drained,
-                Some(k) if k.time >= until => break RunOutcome::TimeBound,
-                Some(_) => {
-                    self.step();
-                }
+            let Some(ev) = self.queue.pop_if_before(until) else {
+                break Ok(if self.queue.is_empty() {
+                    RunOutcome::Drained
+                } else {
+                    RunOutcome::TimeBound
+                });
+            };
+            self.deliver(ev);
+            if self.stalled_events > stall_limit {
+                break Err(SimError::VirtualTimeStall {
+                    now: self.now,
+                    events: self.stalled_events,
+                    limit: stall_limit,
+                });
             }
         };
         if let Some(t0) = t0 {
@@ -301,32 +316,7 @@ impl<P, L: Lp<P>> Engine<P, L> {
     /// virtual-time stalls (see [`Engine::set_watchdog`]) and converts them
     /// into a structured [`SimError`] instead of looping forever.
     pub fn try_run_until(&mut self, until: SimTime) -> Result<RunOutcome, SimError> {
-        self.init();
-        // lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
-        let t0 = self.collector.is_enabled().then(std::time::Instant::now);
-        let limit = self.watchdog.max_stalled_events;
-        let outcome = loop {
-            if self.stats.events_processed >= self.budget {
-                break Ok(RunOutcome::Budget);
-            }
-            match self.queue.peek_key() {
-                None => break Ok(RunOutcome::Drained),
-                Some(k) if k.time >= until => break Ok(RunOutcome::TimeBound),
-                Some(_) => {
-                    self.step();
-                    if self.stalled_events > limit {
-                        break Err(SimError::VirtualTimeStall {
-                            now: self.now,
-                            events: self.stalled_events,
-                            limit,
-                        });
-                    }
-                }
-            }
-        };
-        if let Some(t0) = t0 {
-            self.report_run(t0.elapsed());
-        }
+        let outcome = self.run_loop(until, self.watchdog.max_stalled_events);
         if let Err(e) = &outcome {
             report_watchdog(&self.collector, e);
         }
@@ -356,7 +346,7 @@ impl<P, L: Lp<P>> Engine<P, L> {
 
     /// Serialize the engine's full dynamic state — virtual clock, stats,
     /// per-LP sequence counters, the pending-event set (sorted by
-    /// [`EventKey`], so the bytes are deterministic regardless of heap
+    /// [`EventKey`], so the bytes are deterministic regardless of queue
     /// layout), and each LP's [`Lp::snapshot`] blob.
     ///
     /// The snapshot deliberately excludes static configuration (lookahead,
@@ -447,7 +437,7 @@ impl<P, L: Lp<P>> Engine<P, L> {
             self.seqs.push(r.u64()?);
         }
         let n_events = r.u64()? as usize;
-        let mut queue = HeapQueue::with_capacity(n_events);
+        let mut queue = CalendarQueue::new(1);
         for _ in 0..n_events {
             let key = EventKey {
                 time: SimTime(r.u64()?),
@@ -585,6 +575,33 @@ mod tests {
         assert!(eng.pending() > 0);
         assert_eq!(eng.run_to_completion(), RunOutcome::Drained);
         assert_eq!(eng.now(), SimTime(70));
+    }
+
+    #[test]
+    fn schedule_between_the_pause_and_the_next_event_is_delivered_in_order() {
+        /// Ticks itself every 10 ns and logs every payload with its time.
+        struct Ticker {
+            log: Vec<(u64, u32)>,
+        }
+        impl Lp<u32> for Ticker {
+            fn on_event(&mut self, ctx: &mut Ctx<'_, u32>, tag: u32) {
+                self.log.push((ctx.now().as_nanos(), tag));
+                if tag == 0 && ctx.now() < SimTime(60) {
+                    ctx.send_self(SimTime(10), 0);
+                }
+            }
+        }
+        let mut eng = Engine::new(vec![Ticker { log: Vec::new() }], SimTime(10));
+        eng.schedule(SimTime::ZERO, LpId(0), 0);
+        assert_eq!(eng.run_until(SimTime(35)), RunOutcome::TimeBound);
+        // The bound refused the t=40 tick without moving the clock past
+        // the last delivery, so anything in [30, 40) is still schedulable.
+        assert_eq!(eng.now(), SimTime(30));
+        eng.schedule(SimTime(33), LpId(0), 7);
+        eng.schedule(SimTime(30), LpId(0), 8);
+        assert_eq!(eng.run_to_completion(), RunOutcome::Drained);
+        let want = [(0, 0), (10, 0), (20, 0), (30, 0), (30, 8), (33, 7), (40, 0), (50, 0), (60, 0)];
+        assert_eq!(eng.lp(LpId(0)).log, want);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * a sequential reference engine ([`Engine`]),
 //! * a conservative, lookahead-windowed parallel engine
 //!   ([`ParallelEngine`]) that produces bit-identical results, and
-//! * two interchangeable pending-event sets ([`HeapQueue`],
-//!   [`CalendarQueue`]).
+//! * one pending-event set for both engines, the per-timestamp
+//!   [`CalendarQueue`], with [`HeapQueue`] kept as the reference oracle its
+//!   tests (and the benchmark's hold-model probe) compare it against.
 //!
 //! ## Example
 //!

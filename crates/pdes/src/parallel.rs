@@ -14,7 +14,7 @@
 //! sequential engine's — the two engines are interchangeable, which the
 //! test suite verifies on several models.
 
-use crate::calendar::{EventQueue, HeapQueue};
+use crate::calendar::{CalendarQueue, EventQueue};
 use crate::engine::{audit_lps, report_watchdog, EngineStats};
 use crate::error::{SimError, WatchdogConfig};
 use crate::event::{Event, EventKey, LpId, EXTERNAL_SRC};
@@ -28,7 +28,7 @@ struct Partition<P, L> {
     base: u32,
     lps: Vec<L>,
     seqs: Vec<u64>,
-    queue: HeapQueue<P>,
+    queue: CalendarQueue<P>,
     events_processed: u64,
     /// Events this partition's LPs scheduled (cross-partition included).
     events_scheduled: u64,
@@ -61,8 +61,7 @@ impl<P, L: Lp<P>> Partition<P, L> {
         stall_cap: u64,
     ) -> Result<(), SimError> {
         let mut stalled = 0u64;
-        while self.queue.peek_key().is_some_and(|k| k.time < end) {
-            let Some(ev) = self.queue.pop() else { break };
+        while let Some(ev) = self.queue.pop_if_before(end) {
             if ev.key.time > self.now {
                 stalled = 0;
             } else {
@@ -140,7 +139,7 @@ impl<P: Send, L: Lp<P>> ParallelEngine<P, L> {
             parts.push(Partition {
                 base,
                 seqs: vec![0; chunk.len()],
-                queue: HeapQueue::new(),
+                queue: CalendarQueue::new(1),
                 events_processed: 0,
                 events_scheduled: 0,
                 now: SimTime::ZERO,

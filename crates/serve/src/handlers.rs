@@ -113,6 +113,9 @@ pub struct App {
     graphs: Mutex<GraphCache>,
     flights: SingleFlight<CachedBody>,
     generations: Mutex<Vec<(GenFileId, u64)>>,
+    /// Each listed run's lifecycle state (`None`: no servable manifest),
+    /// against the identity of the `manifest.json` it was read from.
+    run_states: Mutex<BTreeMap<String, (GenFileId, Option<RunState>)>>,
     hub: StreamHub,
 }
 
@@ -128,6 +131,7 @@ impl App {
             graphs: Mutex::new(GraphCache { map: BTreeMap::new(), order: VecDeque::new() }),
             flights: SingleFlight::new(),
             generations: Mutex::new(Vec::new()),
+            run_states: Mutex::new(BTreeMap::new()),
             hub: StreamHub::new(),
         }
     }
@@ -166,21 +170,65 @@ impl App {
         total
     }
 
-    /// A fingerprint over every run's `progress.json` file identity —
-    /// stat-only, no reads. The generation counter only moves when a
-    /// sweep finishes, so responses that enumerate runs must also fold
-    /// this in: a streamed run sealing slices (or turning terminal)
+    /// A fingerprint over the `progress.json` file identity of every run
+    /// in `names` — stat-only, no reads. The generation counter only moves
+    /// when a sweep finishes, so responses that enumerate runs must also
+    /// fold this in: a streamed run sealing slices (or turning terminal)
     /// rewrites its watermark via temp + rename, changing the stamp and
     /// invalidating warm cache entries mid-sweep.
-    fn progress_stamp(&self) -> u64 {
+    fn progress_stamp(&self, names: &[String]) -> u64 {
         let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-        let names = self.store.run_dir_names().unwrap_or_default();
         for name in names {
-            let id = GenFileId::stat(&self.store.run_dir(&name).join("progress.json"));
-            acc = acc.wrapping_mul(0x100_0000_01b3) ^ fingerprint64(&name);
+            let id = GenFileId::stat(&self.store.run_dir(name).join("progress.json"));
+            acc = acc.wrapping_mul(0x100_0000_01b3) ^ fingerprint64(name);
             acc = acc.wrapping_mul(0x100_0000_01b3) ^ id.stamp();
         }
         acc
+    }
+
+    /// The runs of `names` (sorted, as [`RunStore::run_dir_names`] lists
+    /// them) whose lifecycle state is `state`, through a stat-validated
+    /// cache like [`App::generation`]'s: a manifest is only ever replaced
+    /// whole (temp + rename), so one `metadata` call per run proves the
+    /// remembered state current, and only a run whose `manifest.json`
+    /// changed identity (or is missing) is classified again. Runs with a
+    /// torn or missing manifest are skipped, as in
+    /// [`RunStore::runs_by_state`].
+    fn runs_in_state(&self, names: &[String], state: RunState) -> Vec<String> {
+        // Stat before reading (a manifest replaced in between is seen as
+        // changed next time) and outside the lock.
+        let ids: Vec<GenFileId> = names
+            .iter()
+            .map(|name| GenFileId::stat(&self.store.run_dir(name).join("manifest.json")))
+            .collect();
+        let remembered: Vec<Option<(GenFileId, Option<RunState>)>> = {
+            let cache = self.run_states.lock().unwrap_or_else(PoisonError::into_inner);
+            names.iter().map(|name| cache.get(name).copied()).collect()
+        };
+        let (mut listed, mut fresh) = (Vec::new(), Vec::new());
+        for ((name, id), remembered) in names.iter().zip(ids).zip(remembered) {
+            let current = match remembered {
+                Some((seen, state)) if seen == id && id != GenFileId::Missing => state,
+                _ => {
+                    let read = match self.store.health(name) {
+                        RunHealth::Complete => Some(RunState::Completed),
+                        RunHealth::Pending(state) => Some(state),
+                        RunHealth::Missing | RunHealth::Corrupt(_) => None,
+                    };
+                    fresh.push((name.clone(), (id, read)));
+                    read
+                }
+            };
+            if current == Some(state) {
+                listed.push(name.clone());
+            }
+        }
+        let mut cache = self.run_states.lock().unwrap_or_else(PoisonError::into_inner);
+        cache.extend(fresh);
+        if cache.len() > names.len() {
+            cache.retain(|name, _| names.binary_search(name).is_ok());
+        }
+        listed
     }
 
     /// Handle one parsed request, with request-level telemetry. The
@@ -341,10 +389,12 @@ impl App {
             },
         };
         let generation = self.generation().to_string();
-        // The progress stamp keys mid-sweep changes: sealed slices and
-        // lifecycle flips rewrite progress.json without moving the
-        // generation counter.
-        let stamp = format!("{:016x}", self.progress_stamp());
+        // One directory listing per request serves both the stamp and the
+        // state filter. The progress stamp keys mid-sweep changes: sealed
+        // slices and lifecycle flips rewrite progress.json without moving
+        // the generation counter.
+        let names = self.store.run_dir_names().unwrap_or_default();
+        let stamp = format!("{:016x}", self.progress_stamp(&names));
         let filter_part = filter.map(|s| s.name()).unwrap_or("");
         let tag = etag(&["runs", &generation, &stamp, filter_part]);
         self.cached(req, &tag, "application/json", || {
@@ -354,14 +404,7 @@ impl App {
             // out of comparisons unless asked for).
             let ids: Vec<String> = match filter {
                 None => self.store.runs().map_err(|e| Response::error(500, &e.to_string()))?,
-                Some(state) => self
-                    .store
-                    .runs_by_state()
-                    .map_err(|e| Response::error(500, &e.to_string()))?
-                    .into_iter()
-                    .filter(|(_, s)| *s == state)
-                    .map(|(id, _)| id)
-                    .collect(),
+                Some(state) => self.runs_in_state(&names, state),
             };
             let mut entries = Vec::with_capacity(ids.len());
             for id in &ids {

@@ -627,16 +627,17 @@ impl RunStore {
     /// Names of run-shaped directories directly under `dir` (empty when
     /// the directory does not exist yet).
     fn run_dirs_in(&self, dir: &Path) -> Result<Vec<String>, HrvizError> {
-        if !dir.is_dir() {
-            return Ok(Vec::new());
-        }
-        let entries =
-            fs::read_dir(dir).map_err(|e| HrvizError::io(dir.display().to_string(), e))?;
+        let entries = match fs::read_dir(dir) {
+            Ok(entries) => entries,
+            Err(_) if !dir.is_dir() => return Ok(Vec::new()),
+            Err(e) => return Err(HrvizError::io(dir.display().to_string(), e)),
+        };
         let mut out = Vec::new();
         for entry in entries {
             let entry = entry.map_err(|e| HrvizError::io(dir.display().to_string(), e))?;
             if let Some(name) = entry.file_name().to_str() {
-                if is_run_id(name) && entry.path().is_dir() {
+                // The directory bit comes with the entry: no stat per run.
+                if is_run_id(name) && entry.file_type().is_ok_and(|t| t.is_dir()) {
                     out.push(name.to_string());
                 }
             }
