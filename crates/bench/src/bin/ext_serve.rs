@@ -12,8 +12,8 @@
 //! * paged-view determinism: a cursor walk against the 4-shard store is
 //!   byte-identical (node for node) to the flat store's unpaged reply.
 //!
-//! Latencies, the cold/warm speedup, the sustained rate, and the p99
-//! land in `out/BENCH_ext_serve.json`.
+//! Latencies, the cold/warm speedup, the sustained rate, and the p99 are
+//! printed.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use hrviz_bench::{out_dir, Expectations};
 use hrviz_network::RoutingAlgorithm;
-use hrviz_obs::{Json, PerfRecord};
+use hrviz_obs::Json;
 use hrviz_pdes::SimTime;
 use hrviz_serve::{ServeConfig, Server, ServerHandle};
 use hrviz_sweep::{RunStore, SweepEngine, SweepSpec, TopologyAxis};
@@ -364,27 +364,5 @@ fn main() {
     exp.check("nothing shed at 4 workers", report.shed == 0 && shard_report.shed == 0);
     let ok = exp.finish("ext_serve");
 
-    let mut perf = PerfRecord::new("ext_serve");
-    perf.wall_time_s = t0.elapsed().as_secs_f64();
-    perf.events_per_sec = sustained_rps; // requests/s: the rate this driver is about
-    perf.extra = vec![
-        ("sweep_wall_s".into(), Json::from(sweep_wall)),
-        ("cold_us".into(), Json::from(cold_s * 1e6)),
-        ("warm_median_us".into(), Json::from(warm_s * 1e6)),
-        ("not_modified_median_us".into(), Json::from(nm_s * 1e6)),
-        ("cold_warm_speedup".into(), Json::from(speedup)),
-        ("sustained_rps".into(), Json::from(sustained_rps)),
-        ("pipeline_clients".into(), Json::from(PIPELINE_CLIENTS as u64)),
-        ("overload_p99_us".into(), Json::from(p99_s * 1e6)),
-        ("overload_clients".into(), Json::from(OVERLOAD_CLIENTS as u64)),
-        ("requests_handled".into(), Json::from(report.requests)),
-        ("requests_shed".into(), Json::from(report.shed)),
-        ("view_bytes".into(), Json::from(cold.body.len() as u64)),
-        ("shard_walk_node_bytes".into(), Json::from(flat_nodes.len() as u64)),
-    ];
-    match perf.write(&out) {
-        Ok(p) => println!("  wrote {}", p.display()),
-        Err(e) => eprintln!("  perf record write failed: {e}"),
-    }
     std::process::exit(i32::from(!ok));
 }

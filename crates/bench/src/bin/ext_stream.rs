@@ -13,8 +13,7 @@
 //!   thread; every watcher must read a byte-identical replay with ≥2
 //!   `event: slice` frames and exactly one `event: end`.
 //!
-//! The overhead percentage, slice counts, and fan-out timings land in
-//! `out/BENCH_ext_stream.json`.
+//! The overhead percentage, slice counts, and fan-out timings are printed.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -24,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use hrviz_bench::{out_dir, Expectations};
 use hrviz_network::RoutingAlgorithm;
-use hrviz_obs::{Json, PerfRecord};
 use hrviz_pdes::SimTime;
 use hrviz_serve::{ServeConfig, Server, ServerHandle};
 use hrviz_sweep::{
@@ -129,7 +127,6 @@ fn main() {
     hrviz_bench::obs_init("ext_stream");
     println!("Extension: live streaming analytics (Dragonfly 72t, 4 configs, 250 µs slices)");
     let out = out_dir();
-    let t0 = Instant::now();
 
     let batch_root = out.join("store_ext_stream_batch");
     let streamed_root = out.join("store_ext_stream_live");
@@ -209,24 +206,5 @@ fn main() {
     exp.check("nothing shed while fanning out", report.shed == 0);
     let ok = exp.finish("ext_stream");
 
-    let mut perf = PerfRecord::new("ext_stream");
-    perf.wall_time_s = t0.elapsed().as_secs_f64();
-    perf.events_per_sec =
-        if streamed_wall > 0.0 { streamed.events_simulated as f64 / streamed_wall } else { 0.0 };
-    perf.peak_queue_depth = streamed.stats.peak_queue_depth;
-    perf.extra = vec![
-        ("batch_wall_s".into(), Json::from(batch_wall)),
-        ("streamed_wall_s".into(), Json::from(streamed_wall)),
-        ("slice_overhead_pct".into(), Json::from(overhead_pct)),
-        ("slices_sealed".into(), Json::from(sealed_total)),
-        ("sse_watchers".into(), Json::from(WATCHERS as u64)),
-        ("sse_slice_events_each".into(), Json::from(slice_events as u64)),
-        ("fanout_wall_s".into(), Json::from(fanout_wall)),
-        ("stores_identical".into(), Json::from(identical)),
-    ];
-    match perf.write(&out) {
-        Ok(p) => println!("  wrote {}", p.display()),
-        Err(e) => eprintln!("  perf record write failed: {e}"),
-    }
     std::process::exit(i32::from(!ok));
 }

@@ -6,7 +6,6 @@
 //! Checks: the two stores are byte-identical, the warm sweep simulates
 //! zero events and is ≥10× faster than the cold sweep, and — on hosts
 //! with ≥4 cores — the parallel sweep is ≥3× faster than the serial one.
-//! Timings land in `out/BENCH_ext_sweep.json`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -14,7 +13,6 @@ use std::time::Instant;
 
 use hrviz_bench::{out_dir, Expectations};
 use hrviz_network::{FaultEvent, FaultSchedule, RoutingAlgorithm};
-use hrviz_obs::{Json, PerfRecord};
 use hrviz_pdes::SimTime;
 use hrviz_sweep::{FaultAxis, RunStore, SweepEngine, SweepOutcome, SweepSpec, TopologyAxis};
 use hrviz_workloads::TrafficPattern;
@@ -111,7 +109,8 @@ fn main() {
     exp.check("cold sweeps simulate every config", serial.store_misses == 16);
     exp.check(
         "serial and parallel stores are byte-identical",
-        identical && serial_tree.len() == 16 * 2 + 1, // 16 runs × 2 files + GENERATION
+        // 16 runs × 2 files + GENERATION + fsck_report.json + the sweep record
+        identical && serial_tree.len() == 16 * 2 + 3,
     );
     exp.check("warm sweep is all store hits", warm.store_hits == 16 && warm.store_misses == 0);
     exp.check("warm sweep simulates zero events", warm.events_simulated == 0);
@@ -119,33 +118,8 @@ fn main() {
     if cores >= 4 {
         exp.check("parallel sweep ≥3× faster than serial on ≥4 cores", parallel_speedup >= 3.0);
     } else {
-        println!(
-            "  [gate] parallel ≥3× check skipped: {cores} core(s) < 4 \
-             (speedup recorded in BENCH_ext_sweep.json)"
-        );
+        println!("  [skip] parallel ≥3× check: {cores} core(s) < 4");
     }
     let ok = exp.finish("ext_sweep");
-
-    let mut perf = PerfRecord::new("ext_sweep");
-    perf.wall_time_s = serial_wall + parallel_wall + warm_wall;
-    perf.events_per_sec =
-        if serial_wall > 0.0 { serial.events_simulated as f64 / serial_wall } else { 0.0 };
-    perf.peak_queue_depth = serial.stats.peak_queue_depth;
-    perf.extra = vec![
-        ("cores".into(), Json::from(cores)),
-        ("configs".into(), Json::from(serial.configs)),
-        ("serial_wall_s".into(), Json::from(serial_wall)),
-        ("parallel_wall_s".into(), Json::from(parallel_wall)),
-        ("warm_wall_s".into(), Json::from(warm_wall)),
-        ("parallel_speedup".into(), Json::from(parallel_speedup)),
-        ("warm_speedup".into(), Json::from(warm_speedup)),
-        ("events_simulated".into(), Json::from(serial.events_simulated)),
-        ("stores_identical".into(), Json::from(identical)),
-        ("parallel_gate_active".into(), Json::from(cores >= 4)),
-    ];
-    match perf.write(&out) {
-        Ok(p) => println!("  wrote {}", p.display()),
-        Err(e) => eprintln!("  perf record write failed: {e}"),
-    }
     std::process::exit(i32::from(!ok));
 }

@@ -6,13 +6,12 @@
 //! per-experiment index and EXPERIMENTS.md for paper-vs-measured).
 
 #![forbid(unsafe_code)]
-pub mod gate;
 
 use hrviz_core::{DataSet, EntityKind, Field, LevelSpec, ProjectionSpec, RibbonSpec};
 use hrviz_network::{
     DragonflyConfig, JobMeta, LinkClass, NetworkSpec, RoutingAlgorithm, RunData, Simulation,
 };
-use hrviz_obs::{fingerprint64, Collector, Json, LogLevel, PerfRecord, RunManifest};
+use hrviz_obs::{fingerprint64, Collector, Json, LogLevel, RunManifest};
 use hrviz_pdes::SimTime;
 use hrviz_workloads::{
     generate_app, generate_synthetic, place_jobs, AppConfig, AppKind, PlacementPolicy,
@@ -114,13 +113,12 @@ fn note_topology(spec: &NetworkSpec) {
     }
 }
 
-/// Write `out/<driver>/manifest.json` + `out/BENCH_<driver>.json` and flush
-/// the trace. No-op unless [`obs_init`] ran with tracing enabled. Called by
-/// [`Expectations::finish`] because drivers exit via `std::process::exit`
-/// (destructors never run).
+/// Write `out/<driver>/manifest.json` and flush the trace. No-op unless
+/// [`obs_init`] ran with tracing enabled. Called by [`Expectations::finish`]
+/// because drivers exit via `std::process::exit` (destructors never run).
 fn write_obs_artifacts() {
     // Clone the run record out of the guard before any file I/O: the
-    // manifest/perf writes must not happen with OBS_RUN held.
+    // manifest write must not happen with OBS_RUN held.
     let run = {
         let guard = OBS_RUN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let Some(run) = guard.as_ref() else { return };
@@ -151,15 +149,6 @@ fn write_obs_artifacts() {
         Err(e) => eprintln!("  manifest write failed: {e}"),
     }
 
-    let mut perf = PerfRecord::new(run.driver.clone());
-    perf.wall_time_s = wall;
-    perf.events_per_sec = eps;
-    perf.peak_queue_depth = peak;
-    perf.extra = vec![("events_processed".into(), Json::from(events))];
-    match perf.write(&out_dir()) {
-        Ok(p) => println!("  wrote {}", p.display()),
-        Err(e) => eprintln!("  perf record write failed: {e}"),
-    }
     // Final snapshot + flush, not just flush: drivers exit via
     // `std::process::exit`, so this is the sink's last chance.
     let _ = c.finalize();
@@ -377,8 +366,8 @@ impl Expectations {
     }
 
     /// Summary line; returns whether all passed. Also writes the telemetry
-    /// artifacts (manifest, perf record, trace flush) when tracing is on,
-    /// since drivers exit via `std::process::exit` right after.
+    /// artifacts (manifest, trace flush) when tracing is on, since drivers
+    /// exit via `std::process::exit` right after.
     pub fn finish(self, what: &str) -> bool {
         write_obs_artifacts();
         let pass = self.checks.iter().filter(|c| c.1).count();

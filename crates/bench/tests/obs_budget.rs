@@ -1,6 +1,5 @@
 //! The disabled-collector overhead budget (≤2% of simulator event cost),
-//! asserted as a unit test so a regression fails CI rather than only
-//! showing up in the `obs_overhead` criterion bench.
+//! asserted as a test so a regression fails CI.
 
 use hrviz_network::{
     DragonflyConfig, MsgInjection, NetworkSpec, RoutingAlgorithm, Simulation, TerminalId,

@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use hrviz_bench::gate::{run_gate, GateConfig};
 use hrviz_core::{
     build_view, compare_views, compare_views_cached, parse_script, AggregateCache, DataKey,
     DataSet, EntityKind, Field, LevelSpec, ProjectionGraph, ProjectionSpec, ProjectionView,
@@ -148,8 +147,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, HrvizError> {
 }
 
 /// Usage text.
-pub const USAGE: &str =
-    "usage: hrviz <view|trace|compare|sweep|serve|fsck|watch|bench-gate|check> [options]
+pub const USAGE: &str = "usage: hrviz <view|trace|compare|sweep|serve|fsck|watch|check> [options]
   view    --terminals N --pattern P --routing R [--msgs N] [--bytes N]
           [--period-us N] [--script FILE] [--svg FILE] [--seed N]
           [--lod 0..2] [--max-depth N] [--max-items N] [--page-size N]
@@ -184,9 +182,6 @@ pub const USAGE: &str =
           (HTTP endpoints: /runs /runs/{id}/columns/{field} /views /compare
            /runs/{id}/progress /runs/{id}/stream /healthz /metricsz;
            SIGINT drains and exits 0)
-  bench-gate [--out DIR] [--tolerance F] [--window N]
-          (judge out/BENCH_*.json against out/PERF_HISTORY.jsonl and append;
-           a tracked metric past tolerance vs the rolling baseline exits 7)
   check   FILE
 common: --trace-out FILE (write a JSONL telemetry trace; a Chrome
           trace-event file lands next to it as FILE.chrome.json —
@@ -278,7 +273,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
             "timeout-ms",
             "keepalive-requests",
         ]),
-        "bench-gate" => Some(&["out", "tolerance", "window"]),
         "trace" => Some(&["in", "terminals", "routing", "script", "svg", "faults", "hop-limit"]),
         "check" => Some(&[]),
         "help" | "--help" | "-h" => Some(&[]),
@@ -998,58 +992,6 @@ fn dispatch(cli: &Cli) -> Result<RunOutput, HrvizError> {
                 .metric("requests", report.requests as f64)
                 .metric("shed", report.shed as f64))
         }
-        "bench-gate" => {
-            let out_dir = cli.options.get("out").cloned().unwrap_or_else(|| "out".into());
-            let mut cfg = GateConfig::default();
-            if let Some(t) = cli.options.get("tolerance") {
-                cfg.tolerance =
-                    t.parse().map_err(|_| HrvizError::usage("--tolerance must be a number"))?;
-            }
-            if let Some(w) = cli.options.get("window") {
-                cfg.window =
-                    w.parse().map_err(|_| HrvizError::usage("--window must be a number"))?;
-            }
-            let report = run_gate(std::path::Path::new(&out_dir), &cfg)?;
-            let mut summary = format!(
-                "bench-gate: {} metric(s) judged, {} history line(s) appended\n",
-                report.verdicts.len(),
-                report.appended,
-            );
-            for v in &report.verdicts {
-                summary.push_str(&match v.baseline {
-                    Some(b) => format!(
-                        "  [{}] {}/{}: {:.3} vs baseline {:.3} ({:+.1}%)\n",
-                        if v.regressed { "FAIL" } else { "ok" },
-                        v.driver,
-                        v.metric,
-                        v.current,
-                        b,
-                        -100.0 * v.regression,
-                    ),
-                    None => format!(
-                        "  [new] {}/{}: {:.3} (no history yet)\n",
-                        v.driver, v.metric, v.current
-                    ),
-                });
-            }
-            let regressed = report.regressed();
-            if !regressed.is_empty() {
-                // The per-metric breakdown still reaches the user: Gate
-                // errors carry it on stderr ahead of the exit code.
-                eprint!("{summary}");
-                let names: Vec<String> = regressed
-                    .iter()
-                    .map(|v| {
-                        format!("{}/{} ({:.1}% worse)", v.driver, v.metric, 100.0 * v.regression)
-                    })
-                    .collect();
-                return Err(HrvizError::gate(names.join(", ")));
-            }
-            Ok(RunOutput::text(summary)
-                .metric("judged", report.verdicts.len() as f64)
-                .metric("appended", report.appended as f64)
-                .metric("regressed", 0.0))
-        }
         "check" => {
             let Some(path) = cli.positional.first() else {
                 return err("check needs a script file argument");
@@ -1359,6 +1301,18 @@ mod tests {
         assert!(pattern_of("noise").is_err());
         let cli = parse_args(&args(&["help"])).unwrap();
         assert!(run(&cli).unwrap().to_string().contains("usage"));
+    }
+
+    #[test]
+    fn retired_perf_gate_subcommand_is_a_usage_error() {
+        // Performance is measured by the e2e benchmark alone; the old
+        // perf-regression subcommand is now an unknown command.
+        let retired = ["bench", "gate"].join("-");
+        let cli = parse_args(&args(&[retired.as_str(), "--out", "out"])).unwrap();
+        let e = run(&cli).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        assert!(e.to_string().contains(&format!("unknown command {retired:?}")), "{e}");
+        assert!(!USAGE.contains(&retired));
     }
 
     #[test]
@@ -1689,50 +1643,6 @@ mod tests {
             "stored manifests replay identical counters"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn write_bench_record(dir: &std::path::Path, eps: f64) {
-        let body = format!(
-            "{{\"driver\":\"cli_gate\",\"wall_time_s\":2.0,\"events_per_sec\":{eps},\
-             \"peak_queue_depth\":9}}"
-        );
-        std::fs::write(dir.join("BENCH_cli_gate.json"), body).unwrap();
-    }
-
-    #[test]
-    fn bench_gate_appends_history_and_exits_7_on_regression() {
-        let dir = std::env::temp_dir().join(format!("hrviz_cli_gate_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let argv = args(&["bench-gate", "--out", dir.to_str().unwrap()]);
-        let cli = parse_args(&argv).unwrap();
-
-        // Seed a healthy baseline.
-        write_bench_record(&dir, 1000.0);
-        let out = run(&cli).unwrap();
-        assert_eq!(out.metric_value("appended"), Some(1.0));
-        assert!(out.to_string().contains("[new]"), "{out}");
-        write_bench_record(&dir, 1000.0);
-        assert!(run(&cli).unwrap().to_string().contains("[ok]"));
-
-        // Inject a synthetic regression: throughput halves.
-        write_bench_record(&dir, 500.0);
-        let err = run(&cli).unwrap_err();
-        assert_eq!(err.exit_code(), 7, "{err}");
-        assert!(err.to_string().contains("events_per_sec"), "{err}");
-
-        // The slow run still landed in history (3 healthy + 1 slow).
-        let history = std::fs::read_to_string(dir.join("PERF_HISTORY.jsonl")).unwrap();
-        assert_eq!(history.lines().count(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_gate_flags_validate() {
-        let cli = parse_args(&args(&["bench-gate", "--tolerance", "soft"])).unwrap();
-        assert_eq!(run(&cli).unwrap_err().exit_code(), 2);
-        let cli = parse_args(&args(&["bench-gate", "--window", "0"])).unwrap();
-        assert_eq!(run(&cli).unwrap_err().exit_code(), 3);
     }
 
     #[test]

@@ -22,13 +22,9 @@
 use hrviz_obs::{fingerprint64, Json};
 
 use crate::projection::{ProjectionView, Ribbon, Ring, VisualItem};
-use crate::viewjson::view_to_json;
 
 /// Current wire schema version for view/compare responses.
 pub const SCHEMA_VERSION: u32 = 2;
-/// The legacy monolithic payload (`view_to_json`), still reachable via
-/// `?schema=1` for one release.
-pub const LEGACY_SCHEMA_VERSION: u32 = 1;
 
 /// Section names a [`RenderPolicy`] `show`/`prune` filter may reference.
 pub const SECTION_NAMES: [&str; 6] =
@@ -266,23 +262,6 @@ impl ProjectionGraph {
             ("nodes", Json::Arr(nodes.iter().map(GraphNode::to_json).collect())),
         ])
     }
-}
-
-/// Wrap the legacy monolithic payload in a minimal versioned envelope, so
-/// `?schema=1` responses also carry `schema_version` (satisfying "every
-/// view/compare response carries `schema_version`") without changing the
-/// shape clients page through.
-pub fn legacy_envelope(view_body: Json, source_hash: u64) -> Json {
-    Json::obj([
-        ("schema_version", Json::U64(u64::from(LEGACY_SCHEMA_VERSION))),
-        ("source_hash", Json::Str(hex16(source_hash))),
-        ("view", view_body),
-    ])
-}
-
-/// Legacy single-view payload (`schema=1`).
-pub fn legacy_view_json(view: &ProjectionView, source_hash: u64) -> Json {
-    legacy_envelope(view_to_json(view), source_hash)
 }
 
 /// 16-hex-digit form used for node ids and hashes on the wire.
@@ -807,13 +786,5 @@ mod tests {
         bytes[5] = if bytes[5] == '0' { '1' } else { '0' };
         let tampered: String = bytes.into_iter().collect();
         assert_eq!(Cursor::decode(&tampered), Err(CursorError::BadSignature));
-    }
-
-    #[test]
-    fn legacy_envelope_carries_schema_version() {
-        let v = view();
-        let body = legacy_view_json(&v, 7).render();
-        assert!(body.starts_with("{\"schema_version\":1,"), "{body}");
-        assert!(body.contains("\"rings\""), "{body}");
     }
 }

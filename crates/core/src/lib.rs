@@ -57,7 +57,6 @@ pub mod request;
 pub mod script;
 pub mod spec;
 pub mod timeline;
-pub mod viewjson;
 
 pub use aggregate::{
     bin_items, group_rows, AggregateCache, AggregateItem, AggregateTree, DataKey, TreeLevel,
@@ -69,8 +68,8 @@ pub use dataset::{DataSet, DataSetBuilder, LinkRow, RouterRow, TerminalRow};
 pub use detail::{brush_axis, DetailView, LinkScatter, ParallelCoords, PCP_AXES};
 pub use entity::{AggRule, EntityKind, Field};
 pub use graph::{
-    hex16, legacy_envelope, legacy_view_json, Cursor, CursorError, GraphNode, ProjectionGraph,
-    RenderPolicy, LEGACY_SCHEMA_VERSION, SCHEMA_VERSION, SECTION_NAMES,
+    hex16, Cursor, CursorError, GraphNode, ProjectionGraph, RenderPolicy, SCHEMA_VERSION,
+    SECTION_NAMES,
 };
 pub use live::LiveAggregate;
 pub use projection::{
@@ -81,4 +80,3 @@ pub use request::{RequestError, ViewRequest, MAX_PAGE_SIZE};
 pub use script::{parse_script, to_script, FIG5A_SCRIPT, FIG5B_SCRIPT};
 pub use spec::{FilterClause, LevelSpec, PlotKind, ProjectionSpec, RibbonSpec, SpecError, VMap};
 pub use timeline::{TimelineSeries, TimelineView};
-pub use viewjson::{view_to_json, views_to_json};

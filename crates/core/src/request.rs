@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::graph::{RenderPolicy, LEGACY_SCHEMA_VERSION, SCHEMA_VERSION, SECTION_NAMES};
+use crate::graph::{RenderPolicy, SCHEMA_VERSION, SECTION_NAMES};
 use crate::script::parse_script;
 use crate::spec::ProjectionSpec;
 
@@ -49,8 +49,6 @@ pub struct ViewRequest {
     /// Run ids (one for a view, two or more for a comparison). Empty for
     /// CLI simulation-backed views, which have no store.
     pub runs: Vec<String>,
-    /// Wire schema: [`SCHEMA_VERSION`] or [`LEGACY_SCHEMA_VERSION`].
-    pub schema: u32,
     /// Graph materialization policy.
     pub policy: RenderPolicy,
     /// Page size in nodes (0 = unpaged).
@@ -102,33 +100,20 @@ impl ViewRequest {
                 _ => vec![],
             }
         };
-        let schema = match params.get("schema") {
-            None => SCHEMA_VERSION,
-            Some(s) => match s.parse::<u32>() {
-                Ok(v) if v == SCHEMA_VERSION || v == LEGACY_SCHEMA_VERSION => v,
-                _ => {
-                    return Err(RequestError::new(
-                        "schema",
-                        "unknown_schema",
-                        format!(
-                            "unknown schema {s:?}; supported: {LEGACY_SCHEMA_VERSION} (deprecated), {SCHEMA_VERSION}"
-                        ),
-                    ));
-                }
-            },
-        };
+        // `?schema=` may only name the one wire schema, [`SCHEMA_VERSION`].
+        if let Some(s) = params.get("schema") {
+            if s.parse::<u32>() != Ok(SCHEMA_VERSION) {
+                return Err(RequestError::new(
+                    "schema",
+                    "unknown_schema",
+                    format!("unknown schema {s:?}; supported: {SCHEMA_VERSION}"),
+                ));
+            }
+        }
         let policy = RenderPolicy::from_params(params)?;
         let page_size = bounded_usize(params, "page_size", 0, MAX_PAGE_SIZE)?;
         let cursor = params.get("cursor").filter(|c| !c.is_empty()).cloned();
-        Ok(ViewRequest {
-            runs,
-            schema,
-            policy,
-            page_size,
-            cursor,
-            script: script.to_string(),
-            spec,
-        })
+        Ok(ViewRequest { runs, policy, page_size, cursor, script: script.to_string(), spec })
     }
 }
 
@@ -211,7 +196,6 @@ mod tests {
     fn defaults_are_schema_2_full_fidelity_unpaged() {
         let r = ViewRequest::parse(&params(&[("run", "00000000000000aa")]), SCRIPT, false, true)
             .expect("parses");
-        assert_eq!(r.schema, SCHEMA_VERSION);
         assert_eq!(r.policy, RenderPolicy::default());
         assert_eq!(r.page_size, 0);
         assert!(r.cursor.is_none());
@@ -272,10 +256,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_schema_1_is_accepted() {
-        let r = ViewRequest::parse(&params(&[("run", "a"), ("schema", "1")]), SCRIPT, false, true)
-            .expect("schema 1 parses");
-        assert_eq!(r.schema, LEGACY_SCHEMA_VERSION);
+    fn only_schema_2_is_accepted() {
+        let two = params(&[("run", "a"), ("schema", "2")]);
+        assert!(ViewRequest::parse(&two, SCRIPT, false, true).is_ok());
+        for bad in ["1", "3", "two"] {
+            let e =
+                ViewRequest::parse(&params(&[("run", "a"), ("schema", bad)]), SCRIPT, false, true)
+                    .expect_err("only schema 2 parses");
+            assert_eq!((e.field, e.code), ("schema", "unknown_schema"), "{bad}");
+            assert!(e.message.ends_with("supported: 2"), "{}", e.message);
+        }
     }
 
     #[test]

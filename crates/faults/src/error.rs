@@ -34,10 +34,10 @@ pub enum HrvizError {
     /// The simulation itself failed (watchdog trip, invariant violation).
     /// Exit code 6.
     Sim(SimError),
-    /// A quality gate tripped: the inputs were all valid and every step
-    /// ran, but a tracked metric crossed its threshold (e.g. the
-    /// `bench-gate` perf-regression check). Exit code 7, so CI can treat
-    /// "gate failed" differently from "tool broke".
+    /// A check returned a failing verdict: the inputs were all valid and
+    /// every step ran, but what was checked is not in the expected state
+    /// (e.g. `hrviz fsck` on a dirty store). Exit code 7, so CI can treat
+    /// "check failed" differently from "tool broke".
     Gate(String),
 }
 
@@ -114,7 +114,7 @@ mod tests {
             HrvizError::io("a/b", "denied"),
             HrvizError::parse("x.json", "bad"),
             HrvizError::Sim(SimError::VirtualTimeStall { now: SimTime(1), events: 2, limit: 1 }),
-            HrvizError::gate("events_per_sec regressed"),
+            HrvizError::gate("store is dirty: 1 quarantined"),
         ];
         let mut codes: Vec<i32> = errors.iter().map(|e| e.exit_code()).collect();
         assert!(codes.iter().all(|&c| c != 0));

@@ -732,7 +732,7 @@ mod tests {
         let cp = Collector::enabled();
         let par = build().with_collector(cp.clone()).run_parallel(4);
 
-        // The headline acceptance criterion: both engines report identical
+        // The headline contract: both engines report identical
         // delivered-packet (and injected/byte/event) counters.
         assert_eq!(
             cs.counter("net/packets_delivered"),

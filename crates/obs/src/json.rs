@@ -5,9 +5,9 @@
 //! (separate `U64`/`I64` variants instead of routing everything through
 //! `f64`); non-finite floats render as `null` per RFC 8259.
 //!
-//! [`Json::parse`] is the matching recursive-descent reader: the perf
-//! gate uses it to read `BENCH_*.json` / `PERF_HISTORY.jsonl` back, and
-//! tests use it to validate exported Chrome traces. Numbers without a
+//! [`Json::parse`] is the matching recursive-descent reader: the lint
+//! cache uses it to read its facts back, and tests use it to validate
+//! exported Chrome traces and server replies. Numbers without a
 //! fraction or exponent parse to the exact integer variants; everything
 //! else becomes `F64`.
 

@@ -1,6 +1,6 @@
 //! Structured run telemetry for the hrviz stack: counters, gauges,
 //! fixed-bucket histograms, RAII span timers, JSONL trace streams, and
-//! run/perf manifests — with zero external dependencies.
+//! run manifests — with zero external dependencies.
 //!
 //! # Design
 //!
@@ -42,7 +42,7 @@ mod trace;
 
 pub use collector::{Collector, Hist, LogLevel, Snapshot, SpanStat};
 pub use json::Json;
-pub use manifest::{fingerprint64, PerfRecord, RunManifest};
+pub use manifest::{fingerprint64, RunManifest};
 pub use metrics::{metric, MetricDef, MetricKind, METRICS};
 pub use prom::{render_prometheus, PROMETHEUS_CONTENT_TYPE};
 pub use recorder::SpanRecord;

@@ -1,11 +1,10 @@
-//! Run manifests and bench perf records.
+//! Run manifests.
 //!
 //! A [`RunManifest`] captures the reproducibility envelope of one run —
 //! config fingerprint, seed, topology parameters — together with its
 //! headline performance numbers (wall time, events/sec, peak queue depth)
 //! and the full collector snapshot. It is written to
-//! `out/<run>/manifest.json`. A [`PerfRecord`] is the flat
-//! `BENCH_<driver>.json` summary bench drivers emit.
+//! `out/<run>/manifest.json`.
 
 use crate::collector::Snapshot;
 use crate::json::Json;
@@ -81,50 +80,6 @@ impl RunManifest {
     }
 }
 
-/// Flat perf summary a bench driver writes as `BENCH_<driver>.json`.
-#[derive(Clone, Debug, Default)]
-pub struct PerfRecord {
-    /// Driver name (used in the file name).
-    pub driver: String,
-    /// Wall-clock duration in seconds.
-    pub wall_time_s: f64,
-    /// Engine throughput (events processed / wall second).
-    pub events_per_sec: f64,
-    /// Peak pending-event queue depth.
-    pub peak_queue_depth: u64,
-    /// Free-form additional fields.
-    pub extra: Vec<(String, Json)>,
-}
-
-impl PerfRecord {
-    /// An empty record for `driver`.
-    pub fn new(driver: impl Into<String>) -> PerfRecord {
-        PerfRecord { driver: driver.into(), ..PerfRecord::default() }
-    }
-
-    /// Render the record as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![
-            ("driver".into(), Json::Str(self.driver.clone())),
-            ("wall_time_s".into(), Json::F64(self.wall_time_s)),
-            ("events_per_sec".into(), Json::F64(self.events_per_sec)),
-            ("peak_queue_depth".into(), Json::U64(self.peak_queue_depth)),
-        ];
-        for (k, v) in &self.extra {
-            pairs.push((k.clone(), v.clone()));
-        }
-        Json::Obj(pairs)
-    }
-
-    /// Write `dir/BENCH_<driver>.json`, returning its path.
-    pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.driver));
-        std::fs::write(&path, self.to_json().render() + "\n")?;
-        Ok(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,21 +113,6 @@ mod tests {
         assert!(text.contains("\"seed\":7"));
         assert!(text.contains("\"groups\":9"));
         assert!(text.contains("\"net/packets_delivered\":42"));
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn perf_record_names_file_after_driver() {
-        let root = std::env::temp_dir().join("hrviz_obs_perf_test");
-        let _ = std::fs::remove_dir_all(&root);
-        let mut p = PerfRecord::new("fig6_interface");
-        p.events_per_sec = 2.0e6;
-        p.extra.push(("packets".into(), Json::U64(9)));
-        let path = p.write(&root).unwrap();
-        assert!(path.ends_with("BENCH_fig6_interface.json"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"driver\":\"fig6_interface\""));
-        assert!(text.contains("\"packets\":9"));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use hrviz_core::{
-    build_view_cached, compare_views_cached, legacy_envelope, legacy_view_json, views_to_json,
-    AggregateCache, ColumnarDataSet, Cursor, CursorError, DataKey, DataSet, EntityKind, Field,
-    ProjectionGraph, ProjectionView, RequestError, ViewRequest, LEGACY_SCHEMA_VERSION,
+    build_view_cached, compare_views_cached, AggregateCache, ColumnarDataSet, Cursor, CursorError,
+    DataKey, DataSet, EntityKind, Field, ProjectionGraph, ProjectionView, RequestError,
+    ViewRequest,
 };
 use hrviz_faults::HrvizError;
 use hrviz_obs::{fingerprint64, Json};
@@ -614,15 +614,6 @@ impl App {
             });
         }
         let source_hash = source_hash(std::slice::from_ref(&run), &script_fp);
-        if vreq.schema == LEGACY_SCHEMA_VERSION {
-            let tag = etag(&["views", &generation.to_string(), &script_fp, &run, "legacy"]);
-            return self
-                .cached(req, &tag, "application/json", || {
-                    let view = self.build_view(&run, &vreq)?;
-                    Ok(legacy_view_json(&view, source_hash).render().into_bytes())
-                })
-                .header("Deprecation", "version=\"1\"");
-        }
         self.graph_page(req, &vreq, std::slice::from_ref(&run), source_hash, &script_fp, generation)
     }
 
@@ -650,17 +641,6 @@ impl App {
             });
         }
         let source_hash = source_hash(&vreq.runs, &script_fp);
-        if vreq.schema == LEGACY_SCHEMA_VERSION {
-            let tag = etag(&["compare", &generation.to_string(), &script_fp, &joined, "legacy"]);
-            return self
-                .cached(req, &tag, "application/json", || {
-                    let views = self.build_compare_views(&vreq.runs, &vreq)?;
-                    let labeled: Vec<(&str, &_)> =
-                        vreq.runs.iter().zip(&views).map(|(r, v)| (r.as_str(), v)).collect();
-                    Ok(legacy_envelope(views_to_json(&labeled), source_hash).render().into_bytes())
-                })
-                .header("Deprecation", "version=\"1\"");
-        }
         self.graph_page(req, &vreq, &vreq.runs, source_hash, &script_fp, generation)
     }
 

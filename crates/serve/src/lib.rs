@@ -12,9 +12,8 @@
 //! * `GET /runs/{id}/stream` — SSE: sealed slices replayed from
 //!   `?since=`, then a live tail on a shared hub thread.
 //! * `POST /views?run={id}` — script body → paged projection-graph
-//!   envelope (schema 2), the legacy monolithic payload via `?schema=1`
-//!   (answered with a `Deprecation` header), or SVG when
-//!   `Accept: image/svg+xml`.
+//!   envelope (schema 2; any other `?schema=` is a structured 400), or
+//!   SVG when `Accept: image/svg+xml`.
 //! * `POST /compare?runs={a},{b}` — shared-scale comparison, same
 //!   schema/paging contract.
 //! * `GET /healthz`, `GET /metricsz` — liveness + hrviz-obs snapshot.

@@ -48,19 +48,15 @@ fn endpoints_end_to_end() {
     assert!(view.header("ETag").is_some(), "views reply carries an ETag");
     assert!(view.text().contains("\"schema_version\":2"), "view body: {}", view.text());
     assert!(view.text().contains("\"nodes\""), "view body: {}", view.text());
-    assert!(view.header("Deprecation").is_none(), "schema 2 is not deprecated");
 
-    // The legacy monolithic payload stays reachable, flagged deprecated.
-    let legacy = post(addr, &format!("/views?run={}&schema=1", runs[0]), SCRIPT, &[]);
-    assert_eq!(legacy.status, 200, "legacy body: {}", legacy.text());
-    assert!(legacy.text().contains("\"schema_version\":1"), "legacy body: {}", legacy.text());
-    assert!(legacy.text().contains("\"rings\""), "legacy body: {}", legacy.text());
-    assert!(legacy.header("Deprecation").is_some(), "schema 1 answers with Deprecation");
-
-    // Unknown schemas are a structured 400.
-    let bad_schema = post(addr, &format!("/views?run={}&schema=9", runs[0]), SCRIPT, &[]);
-    assert_eq!(bad_schema.status, 400);
-    assert!(bad_schema.text().contains("unknown_schema"), "body: {}", bad_schema.text());
+    // Schema 2 is the only wire schema: the retired schema 1 and unknown
+    // versions alike are a structured 400 naming the supported version.
+    for schema in ["1", "9"] {
+        let bad = post(addr, &format!("/views?run={}&schema={schema}", runs[0]), SCRIPT, &[]);
+        assert_eq!(bad.status, 400, "schema={schema} body: {}", bad.text());
+        assert!(bad.text().contains("\"code\":\"unknown_schema\""), "body: {}", bad.text());
+        assert!(bad.text().contains("supported: 2"), "body: {}", bad.text());
+    }
 
     let svg =
         post(addr, &format!("/views?run={}", runs[0]), SCRIPT, &[("Accept", "image/svg+xml")]);
@@ -73,11 +69,11 @@ fn endpoints_end_to_end() {
     assert!(cmp.text().contains("\"schema_version\":2"), "compare body: {}", cmp.text());
     assert!(cmp.text().contains("\"compare\""), "compare body: {}", cmp.text());
 
-    let cmp_legacy =
+    let cmp_v1 =
         post(addr, &format!("/compare?runs={},{}&schema=1", runs[0], runs[1]), SCRIPT, &[]);
-    assert_eq!(cmp_legacy.status, 200, "legacy compare body: {}", cmp_legacy.text());
-    assert!(cmp_legacy.text().contains("\"views\""), "legacy compare: {}", cmp_legacy.text());
-    assert!(cmp_legacy.header("Deprecation").is_some());
+    assert_eq!(cmp_v1.status, 400, "schema=1 compare body: {}", cmp_v1.text());
+    assert!(cmp_v1.text().contains("\"code\":\"unknown_schema\""), "body: {}", cmp_v1.text());
+    assert!(cmp_v1.text().contains("supported: 2"), "body: {}", cmp_v1.text());
 
     let bad_script = post(addr, &format!("/views?run={}", runs[0]), "{ nonsense", &[]);
     assert_eq!(bad_script.status, 400);
