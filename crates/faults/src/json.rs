@@ -4,6 +4,11 @@
 //! small hand-written (or generated) documents, and this recursive-descent
 //! parser covers the full JSON grammar the schedule format needs. Numbers
 //! keep their raw text so integers up to `u64::MAX` survive exactly.
+//!
+//! [`ObjectReader`] is the same parser driven as a pull reader: hot paths
+//! (the run store's `columns.jsonl`) decode an object's fields straight
+//! into their own types, numbers parsed once and no [`Value`] tree built,
+//! and it accepts exactly the documents [`parse`] accepts.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,13 +72,98 @@ impl Value {
 /// Parse a complete JSON document. Trailing content is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after document"));
-    }
+    let v = p.value(0)?;
+    p.finish()?;
     Ok(v)
+}
+
+/// Nesting depth cap — a corrupt file must not overflow the stack.
+const MAX_DEPTH: usize = 128;
+
+/// A pull reader over one JSON object document: the caller asks for each
+/// key in turn and reads its value with [`ObjectReader::string`],
+/// [`ObjectReader::f64_array`] or [`ObjectReader::skip_value`]. A document
+/// read to the end (`next_key` returning `None`) is accepted exactly when
+/// [`parse`] accepts it.
+pub struct ObjectReader<'a> {
+    p: Parser<'a>,
+    started: bool,
+}
+
+impl<'a> ObjectReader<'a> {
+    /// Start reading `text`, which must hold one object.
+    pub fn new(text: &'a str) -> Result<Self, String> {
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        p.skip_ws();
+        p.expect_byte(b'{')?;
+        Ok(ObjectReader { p, started: false })
+    }
+
+    /// The next key, or `None` once the closing `}` has been read and
+    /// nothing but whitespace follows it. Each key's value must be read
+    /// before asking for the next key.
+    pub fn next_key(&mut self) -> Result<Option<String>, String> {
+        self.p.skip_ws();
+        if self.started {
+            match self.p.bump() {
+                Some(b',') => self.p.skip_ws(),
+                Some(b'}') => return self.p.finish().map(|()| None),
+                _ => return Err(self.p.err("expected ',' or '}'")),
+            }
+        } else {
+            self.started = true;
+            if self.p.peek() == Some(b'}') {
+                self.p.pos += 1;
+                return self.p.finish().map(|()| None);
+            }
+        }
+        let key = self.p.string()?;
+        self.p.skip_ws();
+        self.p.expect_byte(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Read the current value, which must be a string.
+    pub fn string(&mut self) -> Result<String, String> {
+        self.p.skip_ws();
+        self.p.string()
+    }
+
+    /// Read the current value, which must be an array, as `f64`s: each
+    /// number is scanned and parsed once. `None` when the array holds a
+    /// valid but non-numeric element (`null`, a string, a nested value).
+    pub fn f64_array(&mut self) -> Result<Option<Vec<f64>>, String> {
+        self.p.skip_ws();
+        self.p.expect_byte(b'[')?;
+        let mut out = Vec::new();
+        let mut numeric = true;
+        self.p.skip_ws();
+        if self.p.peek() == Some(b']') {
+            self.p.pos += 1;
+            return Ok(Some(out));
+        }
+        loop {
+            self.p.skip_ws();
+            if matches!(self.p.peek(), Some(b'-' | b'0'..=b'9')) {
+                out.push(self.p.number()?.1);
+            } else {
+                // Elements sit two levels down, as in the tree parser.
+                self.p.value(2)?;
+                numeric = false;
+            }
+            self.p.skip_ws();
+            match self.p.bump() {
+                Some(b',') => continue,
+                Some(b']') => return Ok(numeric.then_some(out)),
+                _ => return Err(self.p.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Read and discard the current value, validating it.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        self.p.value(1).map(drop)
+    }
 }
 
 struct Parser<'a> {
@@ -94,6 +184,15 @@ impl<'a> Parser<'a> {
         let b = self.peek()?;
         self.pos += 1;
         Some(b)
+    }
+
+    /// Only whitespace may follow a complete document.
+    fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing content after document"));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -120,22 +219,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(|(raw, _)| Value::Num(raw.to_string())),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.expect_byte(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -148,7 +250,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect_byte(b':')?;
-            let val = self.value()?;
+            let val = self.value(depth + 1)?;
             fields.push((key, val));
             self.skip_ws();
             match self.bump() {
@@ -159,7 +261,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
         self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -168,7 +270,7 @@ impl<'a> Parser<'a> {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -233,7 +335,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    /// Scan one number and parse it once: its raw text and its value.
+    fn number(&mut self) -> Result<(&'a str, f64), String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -258,10 +361,10 @@ impl<'a> Parser<'a> {
         }
         let digits = self.bytes.get(start..self.pos).unwrap_or_default();
         let raw = std::str::from_utf8(digits).map_err(|_| self.err("non-utf8 number"))?;
-        if raw.is_empty() || raw == "-" || raw.parse::<f64>().is_err() {
-            return Err(self.err("malformed number"));
+        match raw.parse::<f64>() {
+            Ok(x) => Ok((raw, x)),
+            Err(_) => Err(self.err("malformed number")),
         }
-        Ok(Value::Num(raw.to_string()))
     }
 }
 
@@ -321,6 +424,46 @@ mod tests {
         {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting too deep"));
+        let doc = format!("{{\"k\": {deep}}}");
+        let mut r = ObjectReader::new(&doc).unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("k"));
+        assert!(r.skip_value().unwrap_err().contains("nesting too deep"));
+        // The cap counts the outermost value as depth 0.
+        let at_cap = format!("{}{}", "[".repeat(129), "]".repeat(129));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn object_reader_decodes_fields_in_one_pass() {
+        let doc = r#" {"s": "a\u0062", "v": [1, -0, 2.5e1, 9007199254740993], "x": {"y": [null]},
+            "bad": [1, null], "e": []} "#;
+        let mut r = ObjectReader::new(doc).unwrap();
+        let mut seen = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            match key.as_str() {
+                "s" => assert_eq!(r.string().unwrap(), "ab"),
+                "v" => {
+                    let v = r.f64_array().unwrap().unwrap();
+                    let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+                    let want = [1.0, -0.0, 25.0, 9007199254740993.0f64];
+                    assert_eq!(bits, want.map(f64::to_bits));
+                }
+                "bad" => assert_eq!(r.f64_array().unwrap(), None),
+                "e" => assert_eq!(r.f64_array().unwrap(), Some(Vec::new())),
+                _ => r.skip_value().unwrap(),
+            }
+            seen.push(key);
+        }
+        assert_eq!(seen, ["s", "v", "x", "bad", "e"]);
+        assert!(parse(doc).is_ok());
     }
 
     #[test]

@@ -1139,22 +1139,11 @@ fn parse_columns(text: &str) -> Result<ColumnarDataSet, String> {
     let mut fields: Vec<Vec<Field>> = vec![Vec::new(); TABLE_ORDER.len()];
     let mut columns: Vec<Vec<Vec<f64>>> = vec![Vec::new(); TABLE_ORDER.len()];
     for line in lines {
-        let v = json::parse(line)?;
-        let table = v.get("table").and_then(Value::as_str).ok_or("column missing table")?;
-        let kind = EntityKind::parse(table).ok_or_else(|| format!("unknown table {table:?}"))?;
+        let (kind, field, values) = column_line(line)?;
         let slot = TABLE_ORDER
             .iter()
             .position(|&k| k == kind)
-            .ok_or_else(|| format!("unexpected table {table:?}"))?;
-        let name = v.get("field").and_then(Value::as_str).ok_or("column missing field")?;
-        let field = Field::parse(name).ok_or_else(|| format!("unknown field {name:?}"))?;
-        let values: Vec<f64> = v
-            .get("values")
-            .and_then(Value::as_arr)
-            .ok_or("column missing values")?
-            .iter()
-            .map(|x| x.as_f64().ok_or_else(|| format!("non-numeric value in {name}")))
-            .collect::<Result<_, _>>()?;
+            .ok_or_else(|| format!("unexpected table {:?}", kind.name()))?;
         fields[slot].push(field);
         columns[slot].push(values);
     }
@@ -1180,6 +1169,31 @@ fn parse_columns(text: &str) -> Result<ColumnarDataSet, String> {
     let [routers, local_links, global_links, terminals]: [ColumnTable; 4] =
         tables.try_into().expect("four tables");
     ColumnarDataSet::new(jobs, routers, local_links, global_links, terminals, time_range)
+}
+
+/// Decode one `{"table":…,"field":…,"values":[…]}` line in a single pass:
+/// each number is scanned and parsed once, straight into the column. As
+/// with a tree parse, keys may come in any order, the first of a repeated
+/// key wins and unknown keys are validated and skipped.
+fn column_line(line: &str) -> Result<(EntityKind, Field, Vec<f64>), String> {
+    let mut r = json::ObjectReader::new(line)?;
+    let (mut table, mut name, mut values) = (None, None, None);
+    while let Some(key) = r.next_key()? {
+        match key.as_str() {
+            "table" if table.is_none() => table = Some(r.string()?),
+            "field" if name.is_none() => name = Some(r.string()?),
+            "values" if values.is_none() => values = Some(r.f64_array()?),
+            _ => r.skip_value()?,
+        }
+    }
+    let table = table.ok_or("column missing table")?;
+    let kind = EntityKind::parse(&table).ok_or_else(|| format!("unknown table {table:?}"))?;
+    let name = name.ok_or("column missing field")?;
+    let field = Field::parse(&name).ok_or_else(|| format!("unknown field {name:?}"))?;
+    let values = values
+        .ok_or("column missing values")?
+        .ok_or_else(|| format!("non-numeric value in {name}"))?;
+    Ok((kind, field, values))
 }
 
 #[cfg(test)]
@@ -1230,6 +1244,10 @@ mod tests {
         assert_eq!(ds.global_links, result.dataset.global_links);
         assert_eq!(ds.jobs, result.dataset.jobs);
         assert_eq!(ds.time_range, result.dataset.time_range);
+        // Save → load → save reproduces the column file byte for byte.
+        let dir = store.run_dir(&cfg.run_id());
+        let on_disk = fs::read_to_string(dir.join("columns.jsonl")).unwrap();
+        assert_eq!(columns_jsonl(&back.data), on_disk);
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -1521,6 +1539,212 @@ mod tests {
         let again = RunStore::open_sharded(&root, 1).unwrap();
         assert!(again.contains(&cfg.run_id()));
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The tree-based line decoder [`column_line`] replaced: parse the
+    /// line into a `Value` and convert. Kept as the reference it must
+    /// match.
+    fn tree_column_line(line: &str) -> Result<(EntityKind, Field, Vec<f64>), String> {
+        let v = json::parse(line)?;
+        let table = v.get("table").and_then(Value::as_str).ok_or("column missing table")?;
+        let kind = EntityKind::parse(table).ok_or_else(|| format!("unknown table {table:?}"))?;
+        let name = v.get("field").and_then(Value::as_str).ok_or("column missing field")?;
+        let field = Field::parse(name).ok_or_else(|| format!("unknown field {name:?}"))?;
+        let values = v
+            .get("values")
+            .and_then(Value::as_arr)
+            .ok_or("column missing values")?
+            .iter()
+            .map(|x| x.as_f64().ok_or_else(|| format!("non-numeric value in {name}")))
+            .collect::<Result<_, _>>()?;
+        Ok((kind, field, values))
+    }
+
+    /// Both decoders accept `line` with bit-identical values, or both
+    /// reject it; returns whether it was accepted.
+    fn decoders_agree(line: &str) -> bool {
+        let bits = |r: Result<(EntityKind, Field, Vec<f64>), String>| {
+            r.map(|(k, f, v)| (k, f, v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()))
+        };
+        match (bits(column_line(line)), bits(tree_column_line(line))) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "decoders disagree on {line:?}");
+                true
+            }
+            (Err(_), Err(_)) => false,
+            (a, b) => panic!("decoders disagree on {line:?}: single-pass {a:?}, tree {b:?}"),
+        }
+    }
+
+    #[test]
+    fn single_pass_decoder_matches_the_tree_decoder_on_stored_runs() {
+        let root = tmp("decodediff");
+        let store = RunStore::open(&root).unwrap();
+        let mut runs = grid_runs(2);
+        runs.push(tiny_run());
+        for (cfg, result) in &runs {
+            let dir = store.save(cfg, result).unwrap();
+            let text = fs::read_to_string(dir.join("columns.jsonl")).unwrap();
+            let lines: Vec<&str> = text.lines().skip(1).collect();
+            assert!(lines.len() > 20, "every table's columns are stored");
+            for line in lines {
+                assert!(decoders_agree(line));
+            }
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn single_pass_decoder_matches_the_tree_decoder_on_edge_lines() {
+        let base = r#"{"table":"terminal","field":"traffic","values":[1,2.5,3]}"#;
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let accepted = [
+            base.to_string(),
+            r#"{"values":[1,2],"field":"traffic","table":"router"}"#.into(),
+            r#"{"table":"router","table":"nope","field":"traffic","values":[1]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1],"values":[null]}"#.into(),
+            r#"{"field":"traffic","field":7,"table":"router","values":[4],"table":{}}"#.into(),
+            r#"{"x":{"a":[1,{"b":null}],"c":true},"table":"router","field":"traffic","values":[1],"z":"s"}"#.into(),
+            " \t{ \"table\" : \"router\" ,\r\n \"field\":\"traffic\" , \"values\" : [ 1 , 2 ] } \r".into(),
+            r#"{"table":"router","field":"traffic","v\"s":"\\\/","values":[1]}"#.into(),
+            r#"{"table":"routers","field":"rank","values":[1e3,1E-7,2.5e+10,-3.25E2]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[-0,-0.0,0,0.0]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[9007199254740993,18446744073709551617]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1e308,1e400,-1e400,5e-324,1e-400]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[01,1.,-.5]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[]}"#.into(),
+            format!(r#"{{"x":{},"table":"router","field":"traffic","values":[1]}}"#, nest(128)),
+        ];
+        let rejected = [
+            r#"{"table":"router","field":"traffic","values":[1,null]}"#.to_string(),
+            r#"{"table":"router","field":"traffic","values":[1,"2"]}"#.into(),
+            r#"{"table":"router","values":[null],"field":"traffic"}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[[1]]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[null],"values":[1]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":1}"#.into(),
+            r#"{"table":1,"field":"traffic","values":[1]}"#.into(),
+            r#"{"table":"router\"","field":"traffic","values":[1]}"#.into(),
+            r#"{"table":"switch","field":"traffic","values":[1]}"#.into(),
+            r#"{"table":"router","field":"bogus","values":[1]}"#.into(),
+            r#"{"field":"traffic","values":[1]}"#.into(),
+            r#"{"table":"router","values":[1]}"#.into(),
+            r#"{"table":"router","field":"traffic"}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[-]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1e]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[--1]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1 2]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1,]}"#.into(),
+            "{\"table\":\"rou\tter\",\"field\":\"traffic\",\"values\":[1]}".into(),
+            r#"{"table":"router","field":"traffic","values":[1]"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1]} x"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1]}}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1]},"#.into(),
+            r#"{"table":"router" "field":"traffic","values":[1]}"#.into(),
+            r#"[{"table":"router","field":"traffic","values":[1]}]"#.into(),
+            "null".into(),
+            String::new(),
+            format!(r#"{{"x":{},"table":"router","field":"traffic","values":[1]}}"#, nest(129)),
+            format!(r#"{{"x":{},"table":"router"}}"#, "[".repeat(200_000)),
+        ];
+        for line in &accepted {
+            assert!(decoders_agree(line), "should accept {line:?}");
+        }
+        for line in &rejected {
+            assert!(!decoders_agree(line), "should reject {line:?}");
+        }
+        // Every proper prefix of a valid line is truncated, hence rejected.
+        for k in 0..base.len() {
+            assert!(!decoders_agree(&base[..k]), "should reject {:?}", &base[..k]);
+        }
+        // The field is named even when it follows the bad values.
+        let e = column_line(&rejected[2]).unwrap_err();
+        assert_eq!(e, "non-numeric value in traffic");
+    }
+
+    /// A deterministic mutation of an ASCII column file, chosen by `case`:
+    /// truncate, flip a bit, duplicate or delete a line, splice in nesting.
+    fn mutate(text: &str, case: u64) -> String {
+        let mut state = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
+        let mut next = move |n: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let at = next(text.len());
+        let lines: Vec<&str> = text.lines().collect();
+        let line = next(lines.len());
+        match case % 5 {
+            0 => text[..at].to_string(),
+            1 => {
+                let mut bytes = text.as_bytes().to_vec();
+                bytes[at] ^= 1 << next(7);
+                String::from_utf8(bytes).expect("flipping a low bit keeps ASCII")
+            }
+            2 | 3 => {
+                let mut kept = lines.clone();
+                if case % 5 == 2 {
+                    kept.insert(line, lines[line]);
+                } else {
+                    kept.remove(line);
+                }
+                kept.join("\n") + "\n"
+            }
+            _ => {
+                let depth = [1, 64, 127, 128, 129, 100_000][next(6)];
+                let close = if next(2) == 0 { "]".repeat(depth) } else { String::new() };
+                format!("{}{}{close}{}", &text[..at], "[".repeat(depth), &text[at..])
+            }
+        }
+    }
+
+    /// Load a stored 72-terminal run after each mutation of its column
+    /// file, with the manifest's `columns_checksum` rewritten to match so
+    /// the decoder, not the checksum, meets the damage: the load must
+    /// return the run or a parse error naming the file, never panic.
+    fn mutated_loads_never_panic(name: &str, cases: std::ops::Range<u64>) {
+        let root = tmp(name);
+        let store = RunStore::open(&root).unwrap();
+        let (cfg, result) = tiny_run();
+        let run = cfg.run_id();
+        let dir = store.save(&cfg, &result).unwrap();
+        let col_path = dir.join("columns.jsonl");
+        let original = fs::read_to_string(&col_path).unwrap();
+        assert!(original.is_ascii());
+        let manifest = store.load_manifest(&run).unwrap();
+        let (mut loaded, mut rejected) = (0, 0);
+        for case in cases {
+            let text = mutate(&original, case);
+            fs::write(&col_path, &text).unwrap();
+            let m = StoredManifest { columns_checksum: checksum_of(&text), ..manifest.clone() };
+            fs::write(dir.join("manifest.json"), manifest_text(&m)).unwrap();
+            let outcome = std::panic::catch_unwind(|| store.load(&run));
+            match outcome {
+                Err(_) => panic!("case {case}: load panicked"),
+                Ok(Ok(_)) => loaded += 1,
+                Ok(Err(HrvizError::Parse { what, .. }))
+                    if what == col_path.display().to_string() =>
+                {
+                    rejected += 1
+                }
+                Ok(Err(e)) => panic!("case {case}: not a parse error naming the file: {e}"),
+            }
+        }
+        assert!(loaded > 0 && rejected > 0, "{loaded} loaded, {rejected} rejected");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn column_file_mutations_never_panic() {
+        mutated_loads_never_panic("mutate", 0..500);
+    }
+
+    #[test]
+    #[ignore = "soak: run with --release -- --ignored"]
+    fn column_file_mutations_never_panic_soak() {
+        mutated_loads_never_panic("mutatesoak", 500..50_500);
     }
 
     #[test]
