@@ -1631,7 +1631,10 @@ mod tests {
         let cold = run(&cli).unwrap();
         assert_eq!(cold.metric_value("store_misses"), Some(2.0));
         assert!(cold.to_string().contains("--- minimal ---"), "{cold}");
-        assert!(cold.metric_value("agg_cache_hits").unwrap() > 0.0, "shared scales reuse groups");
+        assert!(
+            cold.metric_value("agg_cache_misses").unwrap() > 0.0,
+            "groups go through the cache"
+        );
         assert!(svg.exists());
         // Second run: both runs come from the store, nothing simulates.
         let warm = run(&cli).unwrap();
@@ -1642,6 +1645,28 @@ mod tests {
             cold.metric_value("minimal/events"),
             "stored manifests replay identical counters"
         );
+        // Repeating a comparison of the stored runs through one cache
+        // groups nothing again: zero new misses, every lookup a hit.
+        let stored = RunStore::open(&store).unwrap();
+        let loaded: Vec<(DataSet, DataKey)> = stored
+            .runs()
+            .unwrap()
+            .iter()
+            .map(|id| {
+                let run = u64::from_str_radix(id, 16).unwrap();
+                let key = DataKey { run, generation: stored.generation() };
+                (stored.load(id).unwrap().data.to_dataset(), key)
+            })
+            .collect();
+        let pairs: Vec<(&DataSet, DataKey)> = loaded.iter().map(|(d, k)| (d, *k)).collect();
+        let spec = parse_script(DEFAULT_SCRIPT).unwrap();
+        let cache = AggregateCache::new();
+        let first = compare_views_cached(&pairs, &spec, &cache).unwrap();
+        let (hits, misses) = (cache.hits(), cache.misses());
+        let again = compare_views_cached(&pairs, &spec, &cache).unwrap();
+        assert_eq!(cache.misses(), misses, "a repeated compare adds no misses");
+        assert!(cache.hits() > hits, "a repeated compare hits the cache");
+        assert_eq!(first.len(), again.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

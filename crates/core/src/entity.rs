@@ -36,6 +36,11 @@ impl EntityKind {
         }
     }
 
+    /// Whether rows of this kind are links (what ribbons bundle).
+    pub fn is_link(&self) -> bool {
+        matches!(self, EntityKind::LocalLink | EntityKind::GlobalLink)
+    }
+
     /// Parse a script name.
     pub fn parse(s: &str) -> Option<EntityKind> {
         match s {

@@ -6,12 +6,14 @@
 //! view model is geometry-free (angular spans in turns, values in `[0,1]`);
 //! `hrviz-render` turns it into SVG.
 
-use crate::aggregate::{bin_items, group_rows, AggregateCache, AggregateItem, DataKey};
+use crate::aggregate::{group_rows, histogram, AggregateCache, AggregateItem, DataKey};
 use crate::color::{Color, ColorScale};
-use crate::dataset::DataSet;
+use crate::dataset::{Column, DataSet};
 use crate::entity::{AggRule, EntityKind, Field};
-use crate::spec::{LevelSpec, PlotKind, ProjectionSpec, RibbonSpec, SpecError};
+use crate::spec::{FilterClause, LevelSpec, PlotKind, ProjectionSpec, RibbonSpec, SpecError};
+use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Min/max scales per (level, encoding), shared across views for fair
 /// comparison (paper §IV-B2: "the scale for visual encoding uses the same
@@ -165,39 +167,103 @@ fn key_bits(key: &[f64]) -> Vec<u64> {
     key.iter().map(|v| v.to_bits()).collect()
 }
 
-struct LevelBuild {
-    items: Vec<AggregateItem>,
-    /// Original group key → final item index (differs when binning merged).
-    key_to_item: BTreeMap<Vec<u64>, usize>,
+/// Ring-0 group key (as bits) → ring-0 item index: where a link endpoint
+/// lands when ribbons are bundled. Differs from item order when binning
+/// merged groups.
+type KeyMap = BTreeMap<Vec<u64>, usize>;
+
+/// One level of a view, built once: its items and, per visual encoding,
+/// every item's raw metric value.
+struct PreparedLevel {
+    /// The level's items. A level with no filter and no binning shares
+    /// the grouping (and the aggregate cache's allocation) as is.
+    items: Arc<Vec<AggregateItem>>,
+    /// `(encoding, field, raw value per item)` in [`VMap::entries`] order.
+    encodings: Vec<(&'static str, Field, Vec<f64>)>,
+}
+
+impl PreparedLevel {
+    /// The raw values behind `enc`, when the level maps it.
+    fn encoding(&self, enc: &str) -> Option<&[f64]> {
+        self.encodings.iter().find(|(e, ..)| *e == enc).map(|(.., values)| values.as_slice())
+    }
+}
+
+/// Everything one spec needs from one dataset, computed once: the auto
+/// scales ([`scales_of`]) and the resolved view ([`resolve`]) are both
+/// read off it, so no level is grouped, filtered or binned twice.
+struct Prepared {
+    levels: Vec<PreparedLevel>,
+    /// Raw arc-weight metric per ring-0 item, when arcs are weighted.
+    arc_weights: Option<Vec<f64>>,
+    /// Bundled ribbons, when the spec draws them.
+    ribbons: Option<Vec<RawRibbon>>,
 }
 
 /// Optional aggregation memoization: views built over a stored run thread
 /// the cache plus the run's [`DataKey`] through every grouping call.
 type Cache<'a> = Option<(&'a AggregateCache, DataKey)>;
 
-fn build_level_items(ds: &DataSet, lv: &LevelSpec, cache: Cache) -> LevelBuild {
-    // Filter rows first.
-    let n = ds.len(lv.entity);
-    let passes = |i: usize| lv.filter.iter().all(|c| c.accepts(ds.value(lv.entity, i, c.field)));
-    // Group (respecting filters) — group_rows works on the whole table, so
-    // group then strip filtered rows. The grouping (the sort) is the
-    // expensive part, so that is what the cache memoizes; the filter and
-    // binning below mutate a clone of the shared result.
-    let mut items = match cache {
-        Some((c, key)) => (*c.group_rows(key, ds, lv.entity, &lv.aggregate)).clone(),
-        None => group_rows(ds, lv.entity, &lv.aggregate),
-    };
-    if !lv.filter.is_empty() {
-        for it in &mut items {
-            it.rows.retain(|&r| passes(r));
-        }
-        items.retain(|it| !it.rows.is_empty());
+fn prepare(ds: &DataSet, spec: &ProjectionSpec, cache: Cache) -> Result<Prepared, SpecError> {
+    spec.validate()?;
+    let mut ring0_keys = None;
+    let mut levels = Vec::with_capacity(spec.levels.len());
+    for (li, lv) in spec.levels.iter().enumerate() {
+        let with_keys = li == 0 && spec.ribbons.is_some();
+        let (items, keys) = level_items(ds, lv, cache, with_keys);
+        ring0_keys = ring0_keys.or(keys);
+        let encodings = lv
+            .vmap
+            .entries()
+            .into_iter()
+            .map(|(enc, field)| (enc, field, metrics(ds, lv.entity, field, &items)))
+            .collect();
+        levels.push(PreparedLevel { items, encodings });
     }
-    let _ = n;
-    let base_keys: Vec<Vec<u64>> = items.iter().map(|it| key_bits(&it.key)).collect();
+    let ring0 = &levels[0].items;
+    let arc_weights = spec.arc_weight.map(|w| metrics(ds, spec.levels[0].entity, w, ring0));
+    let ribbons = match (&spec.ribbons, &ring0_keys) {
+        (Some(rs), Some(keys)) => Some(bundle_links(ds, spec, rs, keys)),
+        _ => None,
+    };
+    Ok(Prepared { levels, arc_weights, ribbons })
+}
 
-    let mut key_to_item = BTreeMap::new();
-    let items = match lv.max_bins {
+/// `field` aggregated over each of `items`.
+fn metrics(ds: &DataSet, kind: EntityKind, field: Field, items: &[AggregateItem]) -> Vec<f64> {
+    let col = ds.column(kind, field);
+    items.iter().map(|it| it.metric_of(col)).collect()
+}
+
+/// Group, filter and bin one level, plus its [`KeyMap`] when `with_keys`.
+fn level_items(
+    ds: &DataSet,
+    lv: &LevelSpec,
+    cache: Cache,
+    with_keys: bool,
+) -> (Arc<Vec<AggregateItem>>, Option<KeyMap>) {
+    // Group the whole table, then strip filtered rows: the grouping (the
+    // sort) is the expensive part, so that is what the cache memoizes.
+    let grouped = match cache {
+        Some((c, key)) => c.group_rows(key, ds, lv.entity, &lv.aggregate),
+        None => Arc::new(group_rows(ds, lv.entity, &lv.aggregate)),
+    };
+    let items = if lv.filter.is_empty() {
+        grouped
+    } else {
+        let clauses: Vec<(&FilterClause, Column)> =
+            lv.filter.iter().map(|c| (c, ds.column(lv.entity, c.field))).collect();
+        let passes = |r: usize| clauses.iter().all(|(c, col)| c.accepts(col.get(r)));
+        let kept = grouped
+            .iter()
+            .filter_map(|it| {
+                let rows: Vec<usize> = it.rows.iter().copied().filter(|&r| passes(r)).collect();
+                (!rows.is_empty()).then(|| AggregateItem { key: it.key.clone(), rows })
+            })
+            .collect();
+        Arc::new(kept)
+    };
+    match lv.max_bins {
         Some(cap) if items.len() > cap => {
             // Bin by the primary metric: size if mapped, else color, else traffic.
             let by = lv
@@ -206,65 +272,67 @@ fn build_level_items(ds: &DataSet, lv: &LevelSpec, cache: Cache) -> LevelBuild {
                 .or(lv.vmap.color)
                 .filter(|f| f.rule() != AggRule::Key)
                 .unwrap_or(Field::Traffic);
-            // Record which bin each original key landed in by re-deriving
-            // membership from rows.
-            let binned = bin_items(ds, lv.entity, items.clone(), by, cap);
-            let mut row_to_bin = HashMap::new();
-            for (bi, b) in binned.iter().enumerate() {
-                for &r in &b.rows {
-                    row_to_bin.insert(r, bi);
-                }
-            }
-            for (it, kb) in items.iter().zip(base_keys) {
-                if let Some(&bin) = it.rows.first().and_then(|r| row_to_bin.get(r)) {
-                    key_to_item.insert(kb, bin);
-                }
-            }
-            binned
+            let (bins, of_item) = histogram(&items, &metrics(ds, lv.entity, by, &items), cap);
+            let keys = with_keys.then(|| key_map(&items, of_item));
+            (Arc::new(bins), keys)
         }
         _ => {
-            for (i, kb) in base_keys.into_iter().enumerate() {
-                key_to_item.insert(kb, i);
-            }
-            items
+            let keys = with_keys.then(|| key_map(&items, 0..items.len()));
+            (items, keys)
         }
-    };
-    LevelBuild { items, key_to_item }
+    }
 }
 
-fn level_scales(
-    ds: &DataSet,
-    lv: &LevelSpec,
-    items: &[AggregateItem],
-    level_idx: usize,
-    out: &mut ScaleSet,
-) {
-    for (enc, field) in lv.vmap.entries() {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for it in items {
-            let v = it.metric(ds, lv.entity, field);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if items.is_empty() {
-            lo = 0.0;
-            hi = 0.0;
-        }
-        // Volume metrics anchor at zero so empty == white.
-        if field.rule() == AggRule::Sum {
-            lo = lo.min(0.0);
-        }
-        let e = out.encodings.entry((level_idx, enc)).or_insert((lo, hi));
-        e.0 = e.0.min(lo);
-        e.1 = e.1.max(hi);
+/// Each item's key, mapped to the ring-0 item index it ends up in.
+fn key_map(items: &[AggregateItem], of_item: impl IntoIterator<Item = usize>) -> KeyMap {
+    let mut map = KeyMap::new();
+    for (it, i) in items.iter().zip(of_item) {
+        map.insert(key_bits(&it.key), i);
     }
+    map
+}
+
+/// The auto scales of a prepared view (see [`compute_scales`]).
+fn scales_of(p: &Prepared) -> ScaleSet {
+    let mut scales = ScaleSet::default();
+    for (li, level) in p.levels.iter().enumerate() {
+        for (enc, field, values) in &level.encodings {
+            let (mut lo, mut hi) = extent(values.iter().copied());
+            if values.is_empty() {
+                lo = 0.0;
+                hi = 0.0;
+            }
+            // Volume metrics anchor at zero so empty == white.
+            if field.rule() == AggRule::Sum {
+                lo = lo.min(0.0);
+            }
+            let e = scales.encodings.entry((li, *enc)).or_insert((lo, hi));
+            e.0 = e.0.min(lo);
+            e.1 = e.1.max(hi);
+        }
+    }
+    if let Some(bundles) = p.ribbons.as_deref().filter(|b| !b.is_empty()) {
+        let (slo, shi) = extent(bundles.iter().map(|b| b.raw_size));
+        let (clo, chi) = extent(bundles.iter().map(|b| b.raw_color));
+        scales.ribbon_size = Some((slo.min(0.0), shi));
+        scales.ribbon_color = Some((clo.min(0.0), chi));
+    }
+    if let Some(weights) = p.arc_weights.as_deref().filter(|w| !w.is_empty()) {
+        let (lo, hi) = extent(weights.iter().copied());
+        scales.arc_weight = Some((lo.min(0.0), hi));
+    }
+    scales
+}
+
+/// `(min, max)` of `values`; `(+inf, -inf)` when empty.
+fn extent(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| (lo.min(v), hi.max(v)))
 }
 
 /// Compute the auto scales a view of `spec` over `ds` would use; merge the
 /// results from several datasets for fair cross-run comparison.
 pub fn compute_scales(ds: &DataSet, spec: &ProjectionSpec) -> Result<ScaleSet, SpecError> {
-    compute_scales_inner(ds, spec, None)
+    Ok(scales_of(&prepare(ds, spec, None)?))
 }
 
 /// [`compute_scales`] with aggregation memoized through `cache` under the
@@ -275,50 +343,7 @@ pub fn compute_scales_cached(
     cache: &AggregateCache,
     key: DataKey,
 ) -> Result<ScaleSet, SpecError> {
-    compute_scales_inner(ds, spec, Some((cache, key)))
-}
-
-fn compute_scales_inner(
-    ds: &DataSet,
-    spec: &ProjectionSpec,
-    cache: Cache,
-) -> Result<ScaleSet, SpecError> {
-    spec.validate()?;
-    let mut scales = ScaleSet::default();
-    for (i, lv) in spec.levels.iter().enumerate() {
-        let build = build_level_items(ds, lv, cache);
-        level_scales(ds, lv, &build.items, i, &mut scales);
-    }
-    // Ribbons + arcs.
-    let ring0 = build_level_items(ds, &spec.levels[0], cache);
-    if let Some(rs) = &spec.ribbons {
-        let bundles = bundle_links(ds, spec, rs, &ring0);
-        let (mut slo, mut shi) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut clo, mut chi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for b in &bundles {
-            slo = slo.min(b.raw_size);
-            shi = shi.max(b.raw_size);
-            clo = clo.min(b.raw_color);
-            chi = chi.max(b.raw_color);
-        }
-        if !bundles.is_empty() {
-            scales.ribbon_size = Some((slo.min(0.0), shi));
-            scales.ribbon_color = Some((clo.min(0.0), chi));
-        }
-    }
-    if let Some(w) = spec.arc_weight {
-        let lv = &spec.levels[0];
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for it in &ring0.items {
-            let v = it.metric(ds, lv.entity, w);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if !ring0.items.is_empty() {
-            scales.arc_weight = Some((lo.min(0.0), hi));
-        }
-    }
-    Ok(scales)
+    Ok(scales_of(&prepare(ds, spec, Some((cache, key)))?))
 }
 
 struct RawRibbon {
@@ -332,48 +357,49 @@ fn bundle_links(
     ds: &DataSet,
     spec: &ProjectionSpec,
     rs: &RibbonSpec,
-    ring0: &LevelBuild,
+    ring0: &KeyMap,
 ) -> Vec<RawRibbon> {
     let ring0_spec = &spec.levels[0];
-    let fields = &ring0_spec.aggregate;
-    let dst_fields: Vec<Field> =
-        fields.iter().map(|f| f.dst_counterpart().expect("validated")).collect();
-    let n = ds.len(rs.entity);
+    let col = |f: Field| ds.column(rs.entity, f);
+    let src_cols: Vec<Column> = ring0_spec.aggregate.iter().map(|&f| col(f)).collect();
+    let dst_cols: Vec<Column> =
+        ring0_spec.aggregate.iter().map(|f| col(f.dst_counterpart().expect("validated"))).collect();
+    // Ring-0 filters apply to both endpoints so filtered views bundle
+    // only the visible sub-network.
+    let filters: Vec<(&FilterClause, Column, Option<Column>)> = ring0_spec
+        .filter
+        .iter()
+        .map(|c| (c, col(c.field), c.field.dst_counterpart().map(col)))
+        .collect();
+    let size = rs.size.map(col);
+    let color = rs.color.map(col);
     // Directed totals between item pairs.
     let mut size_dir: HashMap<(usize, usize), f64> = HashMap::new();
     let mut color_dir: HashMap<(usize, usize), f64> = HashMap::new();
-    for row in 0..n {
-        // Apply ring-0 filters to both endpoints so filtered views bundle
-        // only the visible sub-network.
-        let ok = ring0_spec.filter.iter().all(|c| {
-            let src_ok = c.accepts(ds.value(rs.entity, row, c.field));
-            let dst_ok = c
-                .field
-                .dst_counterpart()
-                .map(|df| c.accepts(ds.value(rs.entity, row, df)))
-                .unwrap_or(true);
-            src_ok && dst_ok
+    let (mut src_key, mut dst_key) = (Vec::new(), Vec::new());
+    for row in 0..ds.len(rs.entity) {
+        let ok = filters.iter().all(|(c, src, dst)| {
+            c.accepts(src.get(row)) && dst.is_none_or(|d| c.accepts(d.get(row)))
         });
         if !ok {
             continue;
         }
-        let src_key: Vec<u64> =
-            fields.iter().map(|&f| ds.value(rs.entity, row, f).to_bits()).collect();
-        let dst_key: Vec<u64> =
-            dst_fields.iter().map(|&f| ds.value(rs.entity, row, f).to_bits()).collect();
-        let (Some(&a), Some(&b)) =
-            (ring0.key_to_item.get(&src_key), ring0.key_to_item.get(&dst_key))
+        src_key.clear();
+        src_key.extend(src_cols.iter().map(|c| c.get(row).to_bits()));
+        dst_key.clear();
+        dst_key.extend(dst_cols.iter().map(|c| c.get(row).to_bits()));
+        let (Some(&a), Some(&b)) = (ring0.get(src_key.as_slice()), ring0.get(dst_key.as_slice()))
         else {
             continue;
         };
         if a == b {
             continue; // intra-partition links are not drawn as ribbons
         }
-        if let Some(f) = rs.size {
-            *size_dir.entry((a, b)).or_default() += ds.value(rs.entity, row, f);
+        if let Some(c) = size {
+            *size_dir.entry((a, b)).or_default() += c.get(row);
         }
-        if let Some(f) = rs.color {
-            *color_dir.entry((a, b)).or_default() += ds.value(rs.entity, row, f);
+        if let Some(c) = color {
+            *color_dir.entry((a, b)).or_default() += c.get(row);
         }
     }
     // Fold directions: size = sum, color = max of the two ends (§IV-B1).
@@ -413,8 +439,7 @@ fn resolve_color(lv: &LevelSpec, field: Option<Field>, raw: f64, norm: f64, ds: 
 
 /// Build a projection view with automatic scales.
 pub fn build_view(ds: &DataSet, spec: &ProjectionSpec) -> Result<ProjectionView, SpecError> {
-    let scales = compute_scales(ds, spec)?;
-    build_view_scaled(ds, spec, &scales)
+    build_auto_scaled(ds, spec, None)
 }
 
 /// [`build_view`] with aggregation memoized through `cache`: repeat views
@@ -426,8 +451,17 @@ pub fn build_view_cached(
     cache: &AggregateCache,
     key: DataKey,
 ) -> Result<ProjectionView, SpecError> {
-    let scales = compute_scales_cached(ds, spec, cache, key)?;
-    build_view_scaled_cached(ds, spec, &scales, cache, key)
+    build_auto_scaled(ds, spec, Some((cache, key)))
+}
+
+fn build_auto_scaled(
+    ds: &DataSet,
+    spec: &ProjectionSpec,
+    cache: Cache,
+) -> Result<ProjectionView, SpecError> {
+    let _span = hrviz_obs::get().span("core/project");
+    let prepared = prepare(ds, spec, cache)?;
+    Ok(resolve(ds, spec, &prepared, &scales_of(&prepared)))
 }
 
 /// Build a projection view using explicit scales (cross-run comparison).
@@ -436,7 +470,8 @@ pub fn build_view_scaled(
     spec: &ProjectionSpec,
     scales: &ScaleSet,
 ) -> Result<ProjectionView, SpecError> {
-    build_view_scaled_inner(ds, spec, scales, None)
+    let _span = hrviz_obs::get().span("core/project");
+    Ok(resolve(ds, spec, &prepare(ds, spec, None)?, scales))
 }
 
 /// [`build_view_scaled`] with aggregation memoized through `cache`.
@@ -447,30 +482,48 @@ pub fn build_view_scaled_cached(
     cache: &AggregateCache,
     key: DataKey,
 ) -> Result<ProjectionView, SpecError> {
-    build_view_scaled_inner(ds, spec, scales, Some((cache, key)))
+    let _span = hrviz_obs::get().span("core/project");
+    Ok(resolve(ds, spec, &prepare(ds, spec, Some((cache, key)))?, scales))
 }
 
-fn build_view_scaled_inner(
-    ds: &DataSet,
+/// Views of `spec` over several datasets under their merged scales, each
+/// dataset prepared once for both (the body of the `compare_views*`
+/// entry points).
+pub(crate) fn build_views_shared(
+    datasets: &[(&DataSet, Cache)],
     spec: &ProjectionSpec,
-    scales: &ScaleSet,
-    cache: Cache,
-) -> Result<ProjectionView, SpecError> {
-    let _span = hrviz_obs::get().span("core/project");
-    spec.validate()?;
-    let ring0_build = build_level_items(ds, &spec.levels[0], cache);
+) -> Result<Vec<ProjectionView>, SpecError> {
+    let prepared: Result<Vec<Prepared>, SpecError> =
+        datasets.par_iter().map(|(ds, cache)| prepare(ds, spec, *cache)).collect();
+    let prepared = prepared?;
+    let mut scales = ScaleSet::default();
+    for p in &prepared {
+        scales.merge(&scales_of(p));
+    }
+    let jobs: Vec<(&DataSet, &Prepared)> =
+        datasets.iter().map(|(ds, _)| *ds).zip(&prepared).collect();
+    Ok(jobs
+        .par_iter()
+        .map(|(ds, p)| {
+            let _span = hrviz_obs::get().span("core/project");
+            resolve(ds, spec, p, &scales)
+        })
+        .collect())
+}
+
+/// Turn a prepared view into rings, arcs and ribbons under `scales`.
+fn resolve(ds: &DataSet, spec: &ProjectionSpec, p: &Prepared, scales: &ScaleSet) -> ProjectionView {
+    let ring0 = &p.levels[0].items;
 
     // --- arcs: ring-0 spans ---
     let lv0 = &spec.levels[0];
-    let weights: Vec<f64> = match spec.arc_weight {
-        Some(w) => {
-            ring0_build.items.iter().map(|it| it.metric(ds, lv0.entity, w).max(0.0)).collect()
-        }
-        None => vec![1.0; ring0_build.items.len()],
+    let weights: Vec<f64> = match &p.arc_weights {
+        Some(raw) => raw.iter().map(|w| w.max(0.0)).collect(),
+        None => vec![1.0; ring0.len()],
     };
     let wsum: f64 = weights.iter().sum();
     let eps = 0.004; // keep zero-weight partitions visible
-    let n0 = ring0_build.items.len().max(1);
+    let n0 = ring0.len().max(1);
     let mut spans = Vec::with_capacity(n0);
     let mut cursor = 0.0;
     let effective: Vec<f64> = weights
@@ -483,8 +536,7 @@ fn build_view_scaled_inner(
         spans.push((cursor, cursor + frac));
         cursor += frac;
     }
-    let arcs: Vec<ArcSegment> = ring0_build
-        .items
+    let arcs: Vec<ArcSegment> = ring0
         .iter()
         .zip(&spans)
         .map(|(it, &span)| {
@@ -499,17 +551,9 @@ fn build_view_scaled_inner(
 
     // --- rings ---
     let mut rings = Vec::with_capacity(spec.levels.len());
-    for (li, lv) in spec.levels.iter().enumerate() {
-        let build = if li == 0 {
-            LevelBuild {
-                items: ring0_build.items.clone(),
-                key_to_item: ring0_build.key_to_item.clone(),
-            }
-        } else {
-            build_level_items(ds, lv, cache)
-        };
-        let n = build.items.len().max(1);
-        let items: Vec<VisualItem> = build
+    for (li, (lv, level)) in spec.levels.iter().zip(&p.levels).enumerate() {
+        let n = level.items.len().max(1);
+        let items: Vec<VisualItem> = level
             .items
             .iter()
             .enumerate()
@@ -519,10 +563,10 @@ fn build_view_scaled_inner(
                 } else {
                     (i as f64 / n as f64, (i + 1) as f64 / n as f64)
                 };
-                let get = |enc: &'static str, f: Option<Field>| -> (Option<f64>, Option<f64>) {
-                    match f {
-                        Some(field) => {
-                            let raw = it.metric(ds, lv.entity, field);
+                let get = |enc: &'static str| -> (Option<f64>, Option<f64>) {
+                    match level.encoding(enc) {
+                        Some(values) => {
+                            let raw = values[i];
                             let ext = scales
                                 .encodings
                                 .get(&(li, enc))
@@ -533,10 +577,10 @@ fn build_view_scaled_inner(
                         None => (None, None),
                     }
                 };
-                let (color, raw_color) = get("color", lv.vmap.color);
-                let (size, raw_size) = get("size", lv.vmap.size);
-                let (x, raw_x) = get("x", lv.vmap.x);
-                let (y, raw_y) = get("y", lv.vmap.y);
+                let (color, raw_color) = get("color");
+                let (size, raw_size) = get("size");
+                let (x, raw_x) = get("x");
+                let (y, raw_y) = get("y");
                 let fill = resolve_color(
                     lv,
                     lv.vmap.color,
@@ -561,12 +605,11 @@ fn build_view_scaled_inner(
     }
 
     // --- ribbons ---
-    let ribbons = match &spec.ribbons {
-        Some(rs) => {
-            let raw = bundle_links(ds, spec, rs, &ring0_build);
+    let ribbons = match (&spec.ribbons, &p.ribbons) {
+        (Some(rs), Some(raw)) => {
             let sext = scales.ribbon_size.unwrap_or((0.0, 1.0));
             let cext = scales.ribbon_color.unwrap_or((0.0, 1.0));
-            raw.into_iter()
+            raw.iter()
                 .map(|r| Ribbon {
                     a: r.a,
                     b: r.b,
@@ -577,10 +620,10 @@ fn build_view_scaled_inner(
                 })
                 .collect()
         }
-        None => Vec::new(),
+        _ => Vec::new(),
     };
 
-    Ok(ProjectionView { rings, ribbons, arcs })
+    ProjectionView { rings, ribbons, arcs }
 }
 
 #[cfg(test)]

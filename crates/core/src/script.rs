@@ -83,21 +83,33 @@ impl<'a> Parser<'a> {
 
     fn err(&self, msg: &str) -> SpecError {
         // Report a 1-based line number for the current position.
-        let line =
-            1 + self.src[..self.pos.min(self.src.len())].iter().filter(|&&c| c == b'\n').count();
+        let line = 1 + self.src.iter().take(self.pos).filter(|&&c| c == b'\n').count();
         SpecError(format!("script parse error (line {line}): {msg}"))
+    }
+
+    /// The byte under the cursor (whitespace included).
+    fn at(&self) -> Option<u8> {
+        self.src.get(self.pos).copied()
+    }
+
+    /// Advance past every byte `keep` accepts.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) {
+        while self.at().is_some_and(&keep) {
+            self.pos += 1;
+        }
+    }
+
+    /// The bytes from `start` up to the cursor.
+    fn since(&self, start: usize) -> &'a [u8] {
+        self.src.get(start..self.pos).unwrap_or_default()
     }
 
     fn skip_ws(&mut self) {
         loop {
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-                self.pos += 1;
-            }
+            self.take_while(|c| c.is_ascii_whitespace());
             // Line comments with //.
-            if self.src[self.pos..].starts_with(b"//") {
-                while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-                    self.pos += 1;
-                }
+            if self.src.get(self.pos..).is_some_and(|rest| rest.starts_with(b"//")) {
+                self.take_while(|c| c != b'\n');
             } else {
                 break;
             }
@@ -106,7 +118,7 @@ impl<'a> Parser<'a> {
 
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.src.get(self.pos).copied()
+        self.at()
     }
 
     fn eat(&mut self, c: u8) -> PResult<()> {
@@ -129,27 +141,18 @@ impl<'a> Parser<'a> {
 
     fn word(&mut self) -> String {
         let start = self.pos;
-        while self.pos < self.src.len() {
-            let c = self.src[self.pos];
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'.' || c == b'#' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        self.take_while(|c| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b'#'));
+        String::from_utf8_lossy(self.since(start)).into_owned()
     }
 
     fn quoted(&mut self, quote: u8) -> PResult<String> {
         self.pos += 1; // opening quote
         let start = self.pos;
-        while self.pos < self.src.len() && self.src[self.pos] != quote {
-            self.pos += 1;
-        }
-        if self.pos >= self.src.len() {
+        self.take_while(|c| c != quote);
+        if self.at().is_none() {
             return Err(self.err("unterminated string"));
         }
-        let s = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+        let s = String::from_utf8_lossy(self.since(start)).into_owned();
         self.pos += 1; // closing quote
         Ok(s)
     }
@@ -163,13 +166,10 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => {
                 let start = self.pos;
                 self.pos += 1;
-                while self.pos < self.src.len()
-                    && (self.src[self.pos].is_ascii_digit()
-                        || matches!(self.src[self.pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or("");
+                self.take_while(|c| {
+                    c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
+                });
+                let text = std::str::from_utf8(self.since(start)).unwrap_or("");
                 text.parse::<f64>().map(Value::Num).map_err(|_| self.err("bad number"))
             }
             Some(c) if c.is_ascii_alphabetic() || c == b'_' => {
@@ -210,6 +210,11 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> PResult<Value> {
+        self.items().map(Value::Arr)
+    }
+
+    /// The values of a `[...]` list.
+    fn items(&mut self) -> PResult<Vec<Value>> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         loop {
@@ -222,17 +227,21 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(Value::Arr(items))
+        Ok(items)
     }
 
     /// Top level: `[obj,...]` or `obj, obj, ...` or a single obj.
     fn script(&mut self) -> PResult<Vec<Value>> {
-        if self.peek() == Some(b'[') {
-            match self.array()? {
-                Value::Arr(items) => return Ok(items),
-                _ => unreachable!(),
-            }
+        let objs = if self.peek() == Some(b'[') { self.items()? } else { self.objects()? };
+        self.skip_ws();
+        if self.at().is_some() {
+            return Err(self.err("trailing garbage after script"));
         }
+        Ok(objs)
+    }
+
+    /// `obj, obj, ...` with an optional trailing comma.
+    fn objects(&mut self) -> PResult<Vec<Value>> {
         let mut objs = Vec::new();
         loop {
             objs.push(self.object()?);
@@ -242,10 +251,6 @@ impl<'a> Parser<'a> {
             if self.peek().is_none() {
                 break; // trailing comma
             }
-        }
-        self.skip_ws();
-        if self.pos < self.src.len() {
-            return Err(self.err("trailing garbage after script"));
         }
         Ok(objs)
     }
@@ -305,22 +310,19 @@ fn decode_level(
         for (k, clause) in pairs {
             let field = Field::parse(k)
                 .ok_or_else(|| SpecError(format!("{ctx}.filter: unknown field {k:?}")))?;
+            let bound = |v: &Value| {
+                v.as_num().ok_or_else(|| {
+                    SpecError(format!("{ctx}.filter.{k}: range bounds must be numbers"))
+                })
+            };
+            let shape = || SpecError(format!("{ctx}.filter.{k}: expected [min, max] or a number"));
             let (min, max) = match clause {
-                Value::Arr(range) if range.len() == 2 => {
-                    let lo = range[0].as_num().ok_or_else(|| {
-                        SpecError(format!("{ctx}.filter.{k}: range bounds must be numbers"))
-                    })?;
-                    let hi = range[1].as_num().ok_or_else(|| {
-                        SpecError(format!("{ctx}.filter.{k}: range bounds must be numbers"))
-                    })?;
-                    (lo, hi)
-                }
                 Value::Num(n) => (*n, *n),
-                _ => {
-                    return Err(SpecError(format!(
-                        "{ctx}.filter.{k}: expected [min, max] or a number"
-                    )))
-                }
+                Value::Arr(range) => match range.as_slice() {
+                    [lo, hi] => (bound(lo)?, bound(hi)?),
+                    _ => return Err(shape()),
+                },
+                _ => return Err(shape()),
             };
             level.filter.push(FilterClause { field, min, max });
         }
@@ -363,6 +365,9 @@ fn decode_level(
             .and_then(Value::as_str)
             .and_then(EntityKind::parse)
             .ok_or_else(|| SpecError(format!("{rctx}: missing/unknown project")))?;
+        if !ent.is_link() {
+            return Err(SpecError(format!("{rctx}: ribbons bundle links, got {ent}")));
+        }
         let mut spec = RibbonSpec::new(ent);
         if let Some(v) = r.get("size") {
             spec.size = Some(field_of(v, &rctx)?);
@@ -641,7 +646,38 @@ mod tests {
     fn garbage_rejected() {
         assert!(parse_script("").is_err());
         assert!(parse_script("{ project: \"terminal\" } extra").is_err());
+        assert!(parse_script("[ { project: \"terminal\" } ] extra").is_err());
         assert!(parse_script("{ project \"terminal\" }").is_err());
         assert!(parse_script("{ 'unterminated: 1 }").is_err());
+        // Every prefix of a valid script is an error or a spec, never a panic.
+        for end in 0..=FIG5B_SCRIPT.len() {
+            if let Some(prefix) = FIG5B_SCRIPT.get(..end) {
+                let _ = parse_script(prefix);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_scripts_are_spec_errors() {
+        let err = parse_script(
+            r#"{ project: "router", aggregate: "group_id", vmap: { color: "total_sat_time" },
+                 ribbons: { project: "router" } }"#,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("ribbons bundle links, got router"), "{err}");
+        let err = parse_script(
+            r#"{ project: "router", aggregate: "group_id", filter: { total_traffic: [0, 1e30] },
+                 vmap: { color: "total_sat_time" }, ribbons: { project: "global_link" } }"#,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("global_link has no field total_traffic"), "{err}");
+        for bad in [
+            r#"{ project: "terminal", maxBins: 0, vmap: { color: "sat_time" } }"#,
+            r#"{ project: "terminal", maxBins: -3, vmap: { color: "sat_time" } }"#,
+            r#"{ project: "router", vmap: { color: "traffic" }, arc_weight: "avg_latency" }"#,
+            r#"{ project: "terminal", filter: { group_id: [1, 2, 3] } }"#,
+        ] {
+            assert!(parse_script(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -198,10 +198,7 @@ pub struct RibbonSpec {
 impl RibbonSpec {
     /// Ribbons over `entity` (must be a link kind).
     pub fn new(entity: EntityKind) -> RibbonSpec {
-        assert!(
-            matches!(entity, EntityKind::LocalLink | EntityKind::GlobalLink),
-            "ribbons bundle links, got {entity}"
-        );
+        assert!(entity.is_link(), "ribbons bundle links, got {entity}");
         RibbonSpec {
             entity,
             size: Some(Field::Traffic),
@@ -271,11 +268,13 @@ impl ProjectionSpec {
         self
     }
 
-    /// Check field/entity compatibility before building a view.
+    /// Check field/entity compatibility before building a view: every
+    /// field a level, its filters, its encodings, the arc weights or the
+    /// ribbons read must exist on the table it is read from.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.levels.is_empty() {
+        let Some(ring0) = self.levels.first() else {
             return Err(SpecError("a projection needs at least one level".into()));
-        }
+        };
         for (i, lv) in self.levels.iter().enumerate() {
             for f in &lv.aggregate {
                 if !f.is_attribute() {
@@ -293,6 +292,9 @@ impl ProjectionSpec {
                     )));
                 }
             }
+            if lv.max_bins == Some(0) {
+                return Err(SpecError(format!("level {i}: maxBins must be at least 1")));
+            }
             for (enc, f) in lv.vmap.entries() {
                 if !DataSet::has_field(lv.entity, f) {
                     return Err(SpecError(format!(
@@ -302,13 +304,38 @@ impl ProjectionSpec {
                 }
             }
         }
+        if let Some(w) = self.arc_weight {
+            if !DataSet::has_field(ring0.entity, w) {
+                return Err(SpecError(format!("{} has no field {w} (arc_weight)", ring0.entity)));
+            }
+        }
         if let Some(r) = &self.ribbons {
-            let ring0 = &self.levels[0];
+            if !r.entity.is_link() {
+                return Err(SpecError(format!("ribbons bundle links, got {}", r.entity)));
+            }
             for f in &ring0.aggregate {
-                if f.dst_counterpart().is_none() {
+                let Some(dst) = f.dst_counterpart() else {
                     return Err(SpecError(format!(
                         "ribbons need dst counterparts for ring-0 field {f}"
                     )));
+                };
+                for g in [*f, dst] {
+                    if !DataSet::has_field(r.entity, g) {
+                        return Err(SpecError(format!("{} has no field {g} (ribbons)", r.entity)));
+                    }
+                }
+            }
+            // Ribbons bundle only links whose ends both pass ring 0's
+            // filters, so the link rows must carry each filtered field
+            // and its destination-side counterpart.
+            for c in &ring0.filter {
+                for g in std::iter::once(c.field).chain(c.field.dst_counterpart()) {
+                    if !DataSet::has_field(r.entity, g) {
+                        return Err(SpecError(format!(
+                            "{} has no field {g} (ring-0 filter under ribbons)",
+                            r.entity
+                        )));
+                    }
                 }
             }
             for f in [r.size, r.color].into_iter().flatten() {
@@ -402,5 +429,55 @@ mod tests {
     #[should_panic(expected = "ribbons bundle links")]
     fn ribbons_require_link_entity() {
         RibbonSpec::new(EntityKind::Terminal);
+    }
+
+    #[test]
+    fn validation_rejects_ribbons_over_a_non_link_table() {
+        let spec = ProjectionSpec::new(vec![LevelSpec::new(EntityKind::Router)
+            .aggregate(&[Field::GroupId])
+            .color(Field::TotalSatTime)])
+        .ribbons(RibbonSpec {
+            entity: EntityKind::Router,
+            size: None,
+            color: None,
+            colors: ColorScale::default_sequential(),
+        });
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("ribbons bundle links, got router"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_ring0_filters_the_ribbon_links_lack() {
+        // Routers carry total_traffic, global links do not: bundling would
+        // have to read it from every link row.
+        let spec = ProjectionSpec::new(vec![LevelSpec::new(EntityKind::Router)
+            .aggregate(&[Field::GroupId])
+            .filter(Field::TotalTraffic, 0.0, 1e30)
+            .color(Field::TotalSatTime)])
+        .ribbons(RibbonSpec::new(EntityKind::GlobalLink));
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("global_link has no field total_traffic"), "{err}");
+        // A field the links carry, with its dst counterpart, still validates.
+        let spec = ProjectionSpec::new(vec![LevelSpec::new(EntityKind::Router)
+            .aggregate(&[Field::GroupId])
+            .filter(Field::GroupId, 0.0, 8.0)
+            .color(Field::TotalSatTime)])
+        .ribbons(RibbonSpec::new(EntityKind::GlobalLink));
+        assert!(spec.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_arc_weights_and_bin_caps_that_cannot_apply() {
+        let spec = ProjectionSpec::new(vec![LevelSpec::new(EntityKind::Router)
+            .aggregate(&[Field::GroupId])
+            .color(Field::TotalSatTime)])
+        .arc_weight(Field::AvgLatency);
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("router has no field avg_latency (arc_weight)"), "{err}");
+        let spec = ProjectionSpec::new(vec![LevelSpec::new(EntityKind::Terminal)
+            .max_bins(0)
+            .color(Field::SatTime)]);
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("maxBins must be at least 1"), "{err}");
     }
 }

@@ -182,6 +182,12 @@ fn in_panic_scope(path: &str) -> bool {
         || path == "crates/obs/src/chrome.rs"
         || path == "crates/obs/src/recorder.rs"
         || path == "crates/obs/src/prom.rs"
+        // The projection-script parser and request validation read socket
+        // bytes (`POST /views`): a hostile script must be a structured
+        // error, not a dead worker.
+        || path == "crates/core/src/script.rs"
+        || path == "crates/core/src/spec.rs"
+        || path == "crates/core/src/request.rs"
 }
 
 /// Run the path-scoped token/lexical rules over one file. The lock and

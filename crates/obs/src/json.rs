@@ -10,6 +10,14 @@
 //! exported Chrome traces and server replies. Numbers without a
 //! fraction or exponent parse to the exact integer variants; everything
 //! else becomes `F64`.
+//!
+//! [`Json::Raw`] splices text a producer in this process already
+//! rendered (the projection graph's nodes) into a tree without parsing
+//! it back; [`Json::write_str`] and [`Json::write_f64`] are the scalar
+//! encoders such producers write with, so spliced text and tree text
+//! are the same bytes.
+
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,6 +38,10 @@ pub enum Json {
     Arr(Vec<Json>),
     /// Object with insertion-ordered keys.
     Obj(Vec<(String, Json)>),
+    /// Trusted, already-rendered JSON text from this process, written
+    /// verbatim. [`Json::parse`] never produces it; whoever builds one
+    /// vouches that it holds exactly one well-formed value.
+    Raw(String),
 }
 
 impl Json {
@@ -43,6 +55,22 @@ impl Json {
         let mut out = String::new();
         self.write(&mut out);
         out
+    }
+
+    /// Append `s` as a JSON string literal (quoted and escaped), exactly
+    /// as `Json::Str(s)` renders.
+    pub fn write_str(s: &str, out: &mut String) {
+        write_escaped(s, out);
+    }
+
+    /// Append `x` as a JSON number, exactly as `Json::F64(x)` renders:
+    /// the shortest round-trippable decimal, `null` when non-finite.
+    pub fn write_f64(x: f64, out: &mut String) {
+        if x.is_finite() {
+            let _ = write!(out, "{x}");
+        } else {
+            out.push_str("null");
+        }
     }
 
     /// Parse one JSON document (rejecting trailing non-whitespace).
@@ -112,17 +140,15 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => out.push_str(&n.to_string()),
-            Json::I64(n) => out.push_str(&n.to_string()),
-            Json::F64(x) => {
-                if x.is_finite() {
-                    // `{}` on f64 produces a shortest round-trippable decimal.
-                    out.push_str(&format!("{x}"));
-                } else {
-                    out.push_str("null");
-                }
+            Json::U64(n) => {
+                let _ = write!(out, "{n}");
             }
+            Json::I64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::F64(x) => Json::write_f64(*x, out),
             Json::Str(s) => write_escaped(s, out),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -158,7 +184,9 @@ fn write_escaped(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -433,6 +461,25 @@ mod tests {
         assert_eq!(Json::F64(1.5).render(), "1.5");
         assert_eq!(Json::F64(f64::NAN).render(), "null");
         assert_eq!(Json::F64(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn scalar_writers_match_the_tree_and_raw_is_spliced_verbatim() {
+        for x in [0.0, -0.0, 1.5, 1e300, 1e-7, f64::NAN, f64::NEG_INFINITY] {
+            let mut out = String::new();
+            Json::write_f64(x, &mut out);
+            assert_eq!(out, Json::F64(x).render());
+        }
+        for s in ["", "plain", "a\"b\\c\n\u{1}\u{1f}ü"] {
+            let mut out = String::new();
+            Json::write_str(s, &mut out);
+            assert_eq!(out, Json::Str(s.into()).render());
+        }
+        let tree =
+            Json::obj([("n", Json::Arr(vec![Json::U64(1), Json::obj([("k", Json::Null)])]))]);
+        let spliced = Json::obj([("n", Json::Raw(r#"[1,{"k":null}]"#.into()))]);
+        assert_eq!(spliced.render(), tree.render());
+        assert_eq!(Json::parse(&spliced.render()).expect("parses"), tree, "parse never yields Raw");
     }
 
     #[test]
