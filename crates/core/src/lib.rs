@@ -73,8 +73,8 @@ pub use graph::{
 };
 pub use live::LiveAggregate;
 pub use projection::{
-    build_view, build_view_cached, build_view_scaled, build_view_scaled_cached, compute_scales,
-    compute_scales_cached, ArcSegment, ProjectionView, Ribbon, Ring, ScaleSet, VisualItem,
+    build_view, build_view_cached, build_view_scaled, compute_scales, ArcSegment, ProjectionView,
+    Ribbon, Ring, ScaleSet, VisualItem,
 };
 pub use request::{RequestError, ViewRequest, MAX_PAGE_SIZE};
 pub use script::{parse_script, to_script, FIG5A_SCRIPT, FIG5B_SCRIPT};

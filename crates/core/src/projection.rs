@@ -335,17 +335,6 @@ pub fn compute_scales(ds: &DataSet, spec: &ProjectionSpec) -> Result<ScaleSet, S
     Ok(scales_of(&prepare(ds, spec, None)?))
 }
 
-/// [`compute_scales`] with aggregation memoized through `cache` under the
-/// stored run identified by `key`.
-pub fn compute_scales_cached(
-    ds: &DataSet,
-    spec: &ProjectionSpec,
-    cache: &AggregateCache,
-    key: DataKey,
-) -> Result<ScaleSet, SpecError> {
-    Ok(scales_of(&prepare(ds, spec, Some((cache, key)))?))
-}
-
 struct RawRibbon {
     a: usize,
     b: usize,
@@ -472,18 +461,6 @@ pub fn build_view_scaled(
 ) -> Result<ProjectionView, SpecError> {
     let _span = hrviz_obs::get().span("core/project");
     Ok(resolve(ds, spec, &prepare(ds, spec, None)?, scales))
-}
-
-/// [`build_view_scaled`] with aggregation memoized through `cache`.
-pub fn build_view_scaled_cached(
-    ds: &DataSet,
-    spec: &ProjectionSpec,
-    scales: &ScaleSet,
-    cache: &AggregateCache,
-    key: DataKey,
-) -> Result<ProjectionView, SpecError> {
-    let _span = hrviz_obs::get().span("core/project");
-    Ok(resolve(ds, spec, &prepare(ds, spec, Some((cache, key)))?, scales))
 }
 
 /// Views of `spec` over several datasets under their merged scales, each

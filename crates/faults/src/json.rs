@@ -7,8 +7,9 @@
 //!
 //! [`ObjectReader`] is the same parser driven as a pull reader: hot paths
 //! (the run store's `columns.jsonl`) decode an object's fields straight
-//! into their own types, numbers parsed once and no [`Value`] tree built,
-//! and it accepts exactly the documents [`parse`] accepts.
+//! into their own types, numbers parsed once (short integers without the
+//! float parser) and no [`Value`] tree built, and it accepts exactly the
+//! documents [`parse`] accepts.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,6 +81,10 @@ pub fn parse(text: &str) -> Result<Value, String> {
 /// Nesting depth cap — a corrupt file must not overflow the stack.
 const MAX_DEPTH: usize = 128;
 
+/// Most digits an integer cell may have to skip the float parser:
+/// 10^15 < 2^53, so every such integer is an exact `f64`.
+const SHORT_INT_DIGITS: usize = 15;
+
 /// A pull reader over one JSON object document: the caller asks for each
 /// key in turn and reads its value with [`ObjectReader::string`],
 /// [`ObjectReader::f64_array`] or [`ObjectReader::skip_value`]. A document
@@ -130,8 +135,9 @@ impl<'a> ObjectReader<'a> {
     }
 
     /// Read the current value, which must be an array, as `f64`s: each
-    /// number is scanned and parsed once. `None` when the array holds a
-    /// valid but non-numeric element (`null`, a string, a nested value).
+    /// number is scanned and parsed once, a short integer without the
+    /// float parser. `None` when the array holds a valid but non-numeric
+    /// element (`null`, a string, a nested value).
     pub fn f64_array(&mut self) -> Result<Option<Vec<f64>>, String> {
         self.p.skip_ws();
         self.p.expect_byte(b'[')?;
@@ -145,7 +151,11 @@ impl<'a> ObjectReader<'a> {
         loop {
             self.p.skip_ws();
             if matches!(self.p.peek(), Some(b'-' | b'0'..=b'9')) {
-                out.push(self.p.number()?.1);
+                let x = match self.p.short_integer() {
+                    Some(x) => x,
+                    None => self.p.number()?.1,
+                };
+                out.push(x);
             } else {
                 // Elements sit two levels down, as in the tree parser.
                 self.p.value(2)?;
@@ -335,6 +345,33 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Read an integer literal of 1 to [`SHORT_INT_DIGITS`] digits with an
+    /// optional `-` (nearly every stored column cell) without the float
+    /// parser. Such an integer is below 2^53, so `as f64` is exact and
+    /// bit-identical to `str::parse::<f64>`, `-0` and leading zeros
+    /// included. `None`, with nothing consumed, for anything else (a
+    /// fraction, an exponent, more digits, a bare `-`): [`Parser::number`]
+    /// reads those.
+    fn short_integer(&mut self) -> Option<f64> {
+        let rest = self.bytes.get(self.pos..)?;
+        let sign = usize::from(rest.first() == Some(&b'-'));
+        let (mut n, mut len) = (0u64, 0);
+        for &b in rest.get(sign..)?.iter().take(SHORT_INT_DIGITS + 1) {
+            if !b.is_ascii_digit() {
+                break;
+            }
+            n = n * 10 + u64::from(b - b'0');
+            len += 1;
+        }
+        let next = rest.get(sign + len).copied();
+        if len == 0 || len > SHORT_INT_DIGITS || matches!(next, Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        self.pos += sign + len;
+        let x = n as f64;
+        Some(if sign == 1 { -x } else { x })
+    }
+
     /// Scan one number and parse it once: its raw text and its value.
     fn number(&mut self) -> Result<(&'a str, f64), String> {
         let start = self.pos;
@@ -464,6 +501,56 @@ mod tests {
         }
         assert_eq!(seen, ["s", "v", "x", "bad", "e"]);
         assert!(parse(doc).is_ok());
+    }
+
+    /// 10k cells rendered with `{}`, as the store writes them: integers of
+    /// every width (u64 and i64) and arbitrary finite f64 bit patterns.
+    fn generated_cells() -> Vec<String> {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..10_000)
+            .map(|i| {
+                let r = next();
+                let int = r >> (next() % 64);
+                match i % 3 {
+                    0 => format!("{int}"),
+                    1 => format!("{}", (int as i64).wrapping_neg()),
+                    _ => {
+                        let x = f64::from_bits(r);
+                        format!("{}", if x.is_finite() { x } else { int as f64 })
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn integer_cells_skip_the_float_parser_and_match_it_bit_for_bit() {
+        let cells = generated_cells();
+        let doc = format!("{{\"v\":[{}]}}", cells.join(","));
+        let mut r = ObjectReader::new(&doc).unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("v"));
+        let got = r.f64_array().unwrap().unwrap();
+        assert_eq!(got.len(), cells.len());
+        let mut short = 0;
+        for (cell, x) in cells.iter().zip(&got) {
+            assert_eq!(x.to_bits(), cell.parse::<f64>().unwrap().to_bits(), "{cell}");
+            // Exactly the integers of at most 15 digits skip the float parser.
+            let digits = cell.strip_prefix('-').unwrap_or(cell);
+            let want_short = digits.len() <= 15 && digits.bytes().all(|b| b.is_ascii_digit());
+            let mut p = Parser { bytes: cell.as_bytes(), pos: 0 };
+            assert_eq!(p.short_integer().is_some(), want_short, "{cell}");
+            assert_eq!(p.pos, if want_short { cell.len() } else { 0 }, "{cell}");
+            short += usize::from(want_short);
+        }
+        assert!(short > 1_000 && short < 9_000, "{short} short integers");
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!
 //! Every file the store writes — manifests, column files, the root
 //! `GENERATION` counter, fsck reports — goes through one atomic path:
-//! write `<file>.tmp`, `fsync`, `rename`, best-effort directory `fsync`.
-//! A `kill -9` therefore leaves either the old bytes or the new bytes,
-//! never a torn file (at worst a stray `.tmp`, which [`RunStore::fsck`]
-//! reaps). [`RunStore::open`] runs the recovery pass: torn or
+//! write `<file>.<pid>.<seq>.tmp`, `fsync`, `rename`, best-effort
+//! directory `fsync`. A `kill -9` therefore leaves either the old bytes or
+//! the new bytes, never a torn file (at worst a stray `.tmp`, which
+//! [`RunStore::fsck`] reaps once its writer process is gone, so concurrent
+//! openers never delete each other's in-flight writes).
+//! [`RunStore::open`] runs the recovery pass: torn or
 //! checksum-failed runs move to `<store>/quarantine/`, orphaned
 //! `running`/`failed` runs are reported for `--resume` to retry, and the
 //! structured [`FsckReport`] is persisted as `<store>/fsck_report.json`.
@@ -59,7 +61,7 @@ use hrviz_faults::json::{self, Value};
 use hrviz_faults::HrvizError;
 use hrviz_obs::Json;
 use hrviz_pdes::SimTime;
-use hrviz_stream::fsio::{atomic_write, tmp_path_of};
+use hrviz_stream::fsio::{atomic_write, reapable, tmp_path_of};
 
 use crate::spec::{RunConfig, RunResult};
 
@@ -721,6 +723,10 @@ impl RunStore {
     }
 
     /// Load a run back from the store, verifying the column checksum.
+    ///
+    /// FNV-1a is one serial multiply chain, so the checksum runs on a
+    /// second thread while this one decodes. A mismatch is reported
+    /// before any parse error, as if it had run first.
     pub fn load(&self, run_id: &str) -> Result<StoredRun, HrvizError> {
         let dir = self.run_dir(run_id);
         let manifest = self.load_manifest(run_id)?;
@@ -733,7 +739,11 @@ impl RunStore {
         }
         let col_text = fs::read_to_string(&col_path)
             .map_err(|e| HrvizError::io(col_path.display().to_string(), e))?;
-        let got = checksum_of(&col_text);
+        let (got, parsed) = std::thread::scope(|s| {
+            let sum = s.spawn(|| checksum_of(&col_text));
+            let parsed = parse_columns(&col_text);
+            (sum.join().expect("hashing a string cannot panic"), parsed)
+        });
         if got != manifest.columns_checksum {
             return Err(HrvizError::parse(
                 col_path.display().to_string(),
@@ -743,8 +753,7 @@ impl RunStore {
                 ),
             ));
         }
-        let data = parse_columns(&col_text)
-            .map_err(|e| HrvizError::parse(col_path.display().to_string(), e))?;
+        let data = parsed.map_err(|e| HrvizError::parse(col_path.display().to_string(), e))?;
         Ok(StoredRun { manifest, data })
     }
 
@@ -869,7 +878,8 @@ impl RunStore {
         Ok(())
     }
 
-    /// Remove `*.tmp` files directly under `dir`, returning how many.
+    /// Remove the `*.tmp` files directly under `dir` that no live writer
+    /// can still rename ([`reapable`]), returning how many.
     fn reap_tmp(&self, dir: &Path) -> Result<usize, HrvizError> {
         let mut removed = 0;
         let entries =
@@ -877,12 +887,14 @@ impl RunStore {
         for entry in entries {
             let entry = entry.map_err(|e| HrvizError::io(dir.display().to_string(), e))?;
             let path = entry.path();
-            let is_tmp =
-                path.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.ends_with(".tmp"));
-            if is_tmp && path.is_file() {
-                fs::remove_file(&path)
-                    .map_err(|e| HrvizError::io(path.display().to_string(), e))?;
-                removed += 1;
+            if !reapable(&path) || !path.is_file() {
+                continue;
+            }
+            match fs::remove_file(&path) {
+                Ok(()) => removed += 1,
+                // A concurrent fsck reaped it first.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(HrvizError::io(path.display().to_string(), e)),
             }
         }
         Ok(removed)
@@ -1359,6 +1371,52 @@ mod tests {
     }
 
     #[test]
+    fn a_checksum_mismatch_is_reported_before_a_parse_error() {
+        let root = tmp("precedence");
+        let store = RunStore::open(&root).unwrap();
+        let (cfg, result) = tiny_run();
+        let run = cfg.run_id();
+        let dir = store.save(&cfg, &result).unwrap();
+        let col_path = dir.join("columns.jsonl");
+        let original = fs::read_to_string(&col_path).unwrap();
+        let load_with = |text: &str| {
+            fs::write(&col_path, text).unwrap();
+            store.load(&run).unwrap_err()
+        };
+        // The first digit of a column's values, changed: it still parses.
+        let at = original
+            .match_indices("\"values\":[")
+            .map(|(i, m)| i + m.len())
+            .find(|&i| original.as_bytes()[i].is_ascii_digit())
+            .unwrap();
+        let mut bytes = original.clone().into_bytes();
+        bytes[at] = if bytes[at] == b'9' { b'1' } else { bytes[at] + 1 };
+        let digit = String::from_utf8(bytes).unwrap();
+        assert!(parse_columns(&digit).is_ok());
+        let e = load_with(&digit).to_string();
+        assert!(e.contains("columns checksum mismatch"), "{e}");
+        // Truncated mid-array: both the checksum and the parse fail, and
+        // the checksum is what is reported.
+        let cut = &original[..=at];
+        assert!(parse_columns(cut).is_err());
+        let e = load_with(cut).to_string();
+        assert!(e.contains("columns checksum mismatch"), "{e}");
+        // With the manifest agreeing with the malformed file, the parse
+        // error surfaces, naming the column file.
+        let manifest = store.load_manifest(&run).unwrap();
+        let m = StoredManifest { columns_checksum: checksum_of(cut), ..manifest };
+        fs::write(dir.join("manifest.json"), manifest_text(&m)).unwrap();
+        match load_with(cut) {
+            HrvizError::Parse { what, detail } => {
+                assert_eq!(what, col_path.display().to_string());
+                assert!(!detail.contains("checksum"), "{detail}");
+            }
+            e => panic!("not a parse error: {e}"),
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn fsck_quarantines_torn_manifests_and_keeps_orphans() {
         let root = tmp("fsckpass");
         let store = RunStore::open(&root).unwrap();
@@ -1614,6 +1672,14 @@ mod tests {
             r#"{"table":"router","field":"traffic","values":[01,1.,-.5]}"#.into(),
             r#"{"table":"router","field":"traffic","values":[]}"#.into(),
             format!(r#"{{"x":{},"table":"router","field":"traffic","values":[1]}}"#, nest(128)),
+            // Integer cells: the 15-digit short path and what falls back.
+            r#"{"table":"router","field":"traffic","values":[0,-0,007,-007]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[999999999999999,-999999999999999]}"#
+                .into(),
+            r#"{"table":"router","field":"traffic","values":[9007199254740992,9007199254740993]}"#
+                .into(),
+            r#"{"table":"router","field":"traffic","values":[1234567890123456789012345]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1.,1e3,-12.5,12,-3]}"#.into(),
         ];
         let rejected = [
             r#"{"table":"router","field":"traffic","values":[1,null]}"#.to_string(),
@@ -1630,6 +1696,9 @@ mod tests {
             r#"{"table":"router","values":[1]}"#.into(),
             r#"{"table":"router","field":"traffic"}"#.into(),
             r#"{"table":"router","field":"traffic","values":[-]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[1,-]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[+1]}"#.into(),
+            r#"{"table":"router","field":"traffic","values":[12a]}"#.into(),
             r#"{"table":"router","field":"traffic","values":[1e]}"#.into(),
             r#"{"table":"router","field":"traffic","values":[--1]}"#.into(),
             r#"{"table":"router","field":"traffic","values":[1 2]}"#.into(),

@@ -145,6 +145,68 @@ proptest! {
     }
 }
 
+/// Every `*.tmp` file under `dir`, at any depth.
+fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).expect("read_dir") {
+        let path = entry.expect("entry").path();
+        if path.is_dir() {
+            out.extend(tmp_files(&path));
+        } else if path.extension().is_some_and(|e| e == "tmp") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// Every `RunStore::open` runs fsck, which rewrites `fsck_report.json` and
+/// reaps stray tmps. Openers of one store at once must neither share a tmp
+/// name nor reap each other's in-flight tmp, and a dead writer's stray is
+/// reaped by whichever opener gets there first without failing the rest.
+#[test]
+fn concurrent_opens_of_one_store_all_succeed_and_leave_no_tmp() {
+    let root = tmp("concurrent-open");
+    let store = RunStore::open(&root).expect("open");
+    let runs = SweepEngine::new(store.clone()).with_workers(1).run(&grid()).expect("sweep");
+    assert_eq!(runs.store_misses, 4);
+    for run in store.runs().expect("list runs") {
+        fs::write(store.run_dir(&run).join("manifest.json.tmp"), b"{").expect("stage a stray");
+    }
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..20 {
+                    let store = RunStore::open(&root).expect("concurrent open");
+                    assert!(store.last_fsck().expect("fsck ran").quarantined.is_empty());
+                }
+            });
+        }
+    });
+    assert_eq!(tmp_files(&root), Vec::<PathBuf>::new());
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// fsck reaps a tmp whose writer is gone and leaves a live writer's tmp
+/// for its rename.
+#[test]
+fn fsck_reaps_only_tmps_whose_writer_is_gone() {
+    let root = tmp("tmp-owners");
+    drop(RunStore::open(&root).expect("open"));
+    let live = root.join(format!("GENERATION.{}.0.tmp", std::process::id()));
+    // Above any kernel's pid_max, so no such process exists.
+    let dead = root.join(format!("GENERATION.{}.0.tmp", u32::MAX));
+    let no_pid = root.join("GENERATION.tmp");
+    for path in [&live, &dead, &no_pid] {
+        fs::write(path, b"7\n").expect("stage a tmp");
+    }
+    let store = RunStore::open(&root).expect("reopen");
+    assert_eq!(store.last_fsck().expect("fsck ran").tmp_removed, 2);
+    assert_eq!(tmp_files(&root), vec![live]);
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// The one boundary the journaled-intent protocol exists for, pinned
 /// deterministically rather than left to the strategy: death exactly on
 /// the end-of-sweep `GENERATION` write (second-to-last budgeted op).
