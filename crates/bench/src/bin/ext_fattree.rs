@@ -70,7 +70,9 @@ fn main() {
             "Fat Tree k=8: pod stripe under ECMP vs adaptive up-routing (pods as groups)",
         ),
     );
-    let sat = |ds: &DataSet| -> f64 { ds.local_links.iter().map(|l| l.sat).sum() };
+    let sat = |ds: &DataSet| -> f64 {
+        ds.link_rows(hrviz_core::EntityKind::LocalLink).iter().map(|l| l.sat).sum()
+    };
     write_csv(
         "ext_fattree.csv",
         &[

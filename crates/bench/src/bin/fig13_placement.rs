@@ -174,7 +174,8 @@ fn main() {
     exp.check("MiniFE dominates global traffic in (a)", {
         let ds = &datasets[0];
         let by_job = |j: u32| -> f64 {
-            ds.global_links.iter().filter(|l| l.src_job == j).map(|l| l.traffic).sum()
+            let links = ds.link_rows(hrviz_core::EntityKind::GlobalLink);
+            links.iter().filter(|l| l.src_job == j).map(|l| l.traffic).sum()
         };
         by_job(minife as u32) > by_job(amg as u32) + by_job(amr as u32)
     });

@@ -4,7 +4,7 @@
 //! onto the second traffic burst, and selection-driven highlighting.
 
 use hrviz_bench::{intra_group_spec, run_app, write_csv, write_out, Expectations};
-use hrviz_core::{brush_axis, build_view, DataSet, DetailView, Field, TimelineView};
+use hrviz_core::{brush_axis, build_view, DataSet, DetailView, EntityKind, Field, TimelineView};
 use hrviz_network::RoutingAlgorithm;
 use hrviz_pdes::SimTime;
 use hrviz_render::{
@@ -103,30 +103,34 @@ fn main() {
     );
 
     // Brushing: terminals in the top latency decile.
-    let lat_max = ds.terminals.iter().map(|t| t.avg_latency).fold(0.0f64, f64::max);
+    let terminals = ds.terminal_rows();
+    let lat_max = terminals.iter().map(|t| t.avg_latency).fold(0.0f64, f64::max);
     let brushed = brush_axis(&ds, Field::AvgLatency, 0.9 * lat_max, f64::INFINITY);
 
     let mut rows_csv = vec![vec!["metric".into(), "value".into()]];
     rows_csv.push(vec!["burst_window_start_ns".into(), t0.as_nanos().to_string()]);
     rows_csv.push(vec!["burst_window_end_ns".into(), t1.as_nanos().to_string()]);
     rows_csv.push(vec!["highlighted_terminals".into(), detail.highlighted_terminals().to_string()]);
-    rows_csv
-        .push(vec!["brushed_high_latency_terminals".into(), brushed.terminals.len().to_string()]);
-    rows_csv.push(vec!["active_terminals".into(), ds.terminals.len().to_string()]);
+    rows_csv.push(vec![
+        "brushed_high_latency_terminals".into(),
+        brushed.len(EntityKind::Terminal).to_string(),
+    ]);
+    rows_csv.push(vec!["active_terminals".into(), terminals.len().to_string()]);
     write_csv("fig6_interaction.csv", &rows_csv);
 
     let mut exp = Expectations::new();
-    exp.check("AMG occupies 1728 of 2550 terminals", ds.terminals.len() == 1728);
+    exp.check("AMG occupies 1728 of 2550 terminals", terminals.len() == 1728);
     exp.check("time-range projection has traffic only in the window", {
-        let full: f64 = ds.terminals.iter().map(|t| t.data_size).sum();
-        let ranged: f64 = ds_range.terminals.iter().map(|t| t.data_size).sum();
+        let full: f64 = terminals.iter().map(|t| t.data_size).sum();
+        let ranged: f64 = ds_range.terminal_rows().iter().map(|t| t.data_size).sum();
         ranged > 0.0 && ranged < full
     });
     exp.check("selection highlights terminals in the detail view", {
-        kind == hrviz_core::EntityKind::Terminal && detail.highlighted_terminals() > 0
+        kind == EntityKind::Terminal && detail.highlighted_terminals() > 0
     });
     exp.check("brushing isolates the high-latency tail", {
-        !brushed.terminals.is_empty() && brushed.terminals.len() < ds.terminals.len() / 2
+        let brushed = brushed.len(EntityKind::Terminal);
+        brushed > 0 && brushed < terminals.len() / 2
     });
     exp.check(
         "timeline selection window is inside the run",

@@ -1033,7 +1033,7 @@ fn compare_from_store(cli: &Cli, routings: &[RoutingAlgorithm]) -> Result<RunOut
     let mut loaded: Vec<(DataSet, DataKey, StoredManifest)> = Vec::with_capacity(configs.len());
     for cfg in &configs {
         let stored = engine.store().load(&cfg.run_id())?;
-        loaded.push((stored.data.to_dataset(), engine.store().data_key(cfg), stored.manifest));
+        loaded.push((stored.data, engine.store().data_key(cfg), stored.manifest));
     }
     let cache = AggregateCache::new();
     let pairs: Vec<(&DataSet, DataKey)> = loaded.iter().map(|(d, k, _)| (d, *k)).collect();
@@ -1655,7 +1655,7 @@ mod tests {
             .map(|id| {
                 let run = u64::from_str_radix(id, 16).unwrap();
                 let key = DataKey { run, generation: stored.generation() };
-                (stored.load(id).unwrap().data.to_dataset(), key)
+                (stored.load(id).unwrap().data, key)
             })
             .collect();
         let pairs: Vec<(&DataSet, DataKey)> = loaded.iter().map(|(d, k)| (d, *k)).collect();

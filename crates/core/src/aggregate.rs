@@ -8,11 +8,11 @@
 //! Sums are used for volume/time metrics and means for the latency/hop
 //! metrics, per [`Field::rule`](crate::entity::Field::rule).
 
-use crate::dataset::{Column, DataSet};
+use crate::columnar::Column;
+use crate::dataset::DataSet;
 use crate::entity::{AggRule, EntityKind, Field};
 use crate::live::LiveAggregate;
 use hrviz_stream::Slice;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, Mutex};
@@ -29,24 +29,28 @@ pub struct AggregateItem {
 impl AggregateItem {
     /// Aggregated value of `field` over the members.
     pub fn metric(&self, ds: &DataSet, kind: EntityKind, field: Field) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.metric_of(ds.column(kind, field))
+        self.metric_of(field, ds.column(kind, field))
     }
 
-    /// Aggregated value of `col`'s field over the members: the column is
-    /// resolved once by the caller, so a level's items share it.
-    pub(crate) fn metric_of(&self, col: Column<'_>) -> f64 {
+    /// Aggregated value of `field`, whose column `col` the caller resolved
+    /// once, so a level's items share it.
+    pub(crate) fn metric_of(&self, field: Field, col: Column<'_>) -> f64 {
+        match col {
+            Column::F64(v) => self.reduce(field.rule(), |i| v[i]),
+            Column::U32(v) => self.reduce(field.rule(), |i| f64::from(v[i])),
+        }
+    }
+
+    fn reduce(&self, rule: AggRule, get: impl Fn(usize) -> f64) -> f64 {
         let Some(&first) = self.rows.first() else { return 0.0 };
-        match col.field().rule() {
+        match rule {
             AggRule::Mean => {
-                self.rows.iter().map(|&i| col.get(i)).sum::<f64>() / self.rows.len() as f64
+                self.rows.iter().map(|&i| get(i)).sum::<f64>() / self.rows.len() as f64
             }
-            AggRule::Sum => self.rows.iter().map(|&i| col.get(i)).sum(),
+            AggRule::Sum => self.rows.iter().map(|&i| get(i)).sum(),
             // Attributes: representative value (identical across members by
             // construction when the field is part of the key).
-            AggRule::Key => col.get(first),
+            AggRule::Key => get(first),
         }
     }
 }
@@ -62,47 +66,26 @@ pub fn group_rows(ds: &DataSet, kind: EntityKind, fields: &[Field]) -> Vec<Aggre
     if fields.is_empty() {
         return (0..n).map(|i| AggregateItem { key: vec![i as f64], rows: vec![i] }).collect();
     }
-    let keys: Vec<Vec<f64>> = fields
-        .iter()
-        .map(|&f| {
-            let col = ds.column(kind, f);
-            (0..n).map(|i| col.get(i)).collect()
-        })
-        .collect();
+    let keys: Vec<&[u32]> = fields.iter().map(|&f| ds.table(kind).u32s(f)).collect();
     group_keys(&keys, n)
 }
 
-/// Group rows `0..n` by their values in the key columns `keys`: sort the
-/// row indices lexicographically over the columns (ties broken by row),
-/// then merge runs of `==` keys. `-0.0` and `0.0` compare equal; a NaN
-/// (which no attribute column holds) sorts after every number, level with
-/// other NaNs, so the order stays total, and never merges.
-fn group_keys(keys: &[Vec<f64>], n: usize) -> Vec<AggregateItem> {
-    let cmp = |a: usize, b: usize| {
-        for col in keys {
-            let (x, y) = (col[a], col[b]);
-            match x.partial_cmp(&y) {
-                Some(Ordering::Equal) => continue,
-                Some(o) => return o,
-                None => match (x.is_nan(), y.is_nan()) {
-                    (true, false) => return Ordering::Greater,
-                    (false, true) => return Ordering::Less,
-                    _ => continue,
-                },
-            }
-        }
-        Ordering::Equal
-    };
+/// Group rows `0..n` by their values in the `u32` key columns `keys`:
+/// sort the row indices lexicographically over the columns (ties broken
+/// by row), then merge runs of equal keys.
+fn group_keys(keys: &[&[u32]], n: usize) -> Vec<AggregateItem> {
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| cmp(a, b).then(a.cmp(&b)));
+    order.sort_unstable_by(|&a, &b| {
+        keys.iter().map(|col| col[a].cmp(&col[b])).find(|o| o.is_ne()).unwrap_or(a.cmp(&b))
+    });
     let mut items: Vec<AggregateItem> = Vec::new();
     for row in order {
         match items.last_mut() {
-            Some(last) if keys.iter().zip(&last.key).all(|(col, &k)| col[row] == k) => {
+            Some(last) if keys.iter().all(|col| col[row] == col[last.rows[0]]) => {
                 last.rows.push(row)
             }
             _ => items.push(AggregateItem {
-                key: keys.iter().map(|col| col[row]).collect(),
+                key: keys.iter().map(|col| f64::from(col[row])).collect(),
                 rows: vec![row],
             }),
         }
@@ -125,7 +108,7 @@ pub fn bin_items(
         return items;
     }
     let col = ds.column(kind, by);
-    let values: Vec<f64> = items.iter().map(|it| it.metric_of(col)).collect();
+    let values: Vec<f64> = items.iter().map(|it| it.metric_of(by, col)).collect();
     histogram(&items, &values, max_bins).0
 }
 
@@ -424,9 +407,8 @@ mod tests {
 
     /// Hand-built dataset: 8 terminals on 4 routers in 2 groups.
     fn ds() -> DataSet {
-        let mut d = DataSet { jobs: vec!["a".into()], ..DataSet::default() };
-        for i in 0..8u32 {
-            d.terminals.push(TerminalRow {
+        let terminals = (0..8u32)
+            .map(|i| TerminalRow {
                 terminal: i,
                 router: i / 2,
                 group: i / 4,
@@ -441,9 +423,9 @@ mod tests {
                 packets_sent: 2.0,
                 avg_latency: (i + 1) as f64 * 1000.0,
                 avg_hops: 3.0,
-            });
-        }
-        d
+            })
+            .collect();
+        DataSet::from_tables(vec!["a".into()], vec![], vec![], vec![], terminals)
     }
 
     #[test]
@@ -505,7 +487,8 @@ mod tests {
         let total_rows: usize = binned.iter().map(|b| b.rows.len()).sum();
         assert_eq!(total_rows, 8, "binning must not drop rows");
         // Bin keys are indices in metric order: bin 0 holds the smallest.
-        assert!(binned[0].rows.iter().all(|&r| d.terminals[r].data_size <= 300.0));
+        let data = d.terminal_rows();
+        assert!(binned[0].rows.iter().all(|&r| data[r].data_size <= 300.0));
     }
 
     #[test]
@@ -632,6 +615,7 @@ mod tests {
     /// key per row, sorted with the row index as tiebreak. Kept as the
     /// oracle for [`group_rows`] / [`group_keys`].
     fn group_keyed_rows(mut keyed: Vec<(Vec<f64>, usize)>) -> Vec<AggregateItem> {
+        use std::cmp::Ordering;
         fn key_cmp(a: &[f64], b: &[f64]) -> Ordering {
             for (x, y) in a.iter().zip(b) {
                 match x.partial_cmp(y) {
@@ -676,7 +660,7 @@ mod tests {
         }
     }
 
-    /// Items compared bit for bit (`NaN` keys included).
+    /// Items compared bit for bit.
     fn bits(items: &[AggregateItem]) -> Vec<(Vec<u64>, Vec<usize>)> {
         items
             .iter()
@@ -690,10 +674,9 @@ mod tests {
         for case in 0..40 {
             let n = g.below(200) as usize;
             let spread = 1 + g.below(6) as u32;
-            let mut d = DataSet::default();
-            for i in 0..n {
-                let mut pick = || g.below(u64::from(spread)) as u32;
-                d.terminals.push(TerminalRow {
+            let mut pick = || g.below(u64::from(spread)) as u32;
+            let terminals = (0..n)
+                .map(|i| TerminalRow {
                     terminal: i as u32,
                     router: pick(),
                     group: pick(),
@@ -701,8 +684,9 @@ mod tests {
                     port: pick(),
                     job: pick(),
                     ..TerminalRow::default()
-                });
-            }
+                })
+                .collect();
+            let d = DataSet::from_tables(vec![], vec![], vec![], vec![], terminals);
             for fields in [
                 &[Field::GroupId][..],
                 &[Field::GroupId, Field::RouterRank],
@@ -717,35 +701,23 @@ mod tests {
     }
 
     #[test]
-    fn column_grouping_matches_the_oracle_on_signed_zero_and_nan_keys() {
-        let values = [0.0, -0.0, 1.0, -1.0, 2.5, f64::INFINITY, f64::NAN];
+    fn u32_key_grouping_matches_the_oracle_at_the_extremes() {
+        let values = [0, 1, 2, 9, 1 << 24, (1 << 24) + 1, u32::MAX - 1, u32::MAX];
         let mut g = Gen(5);
         for case in 0..300 {
             let n = g.below(60) as usize;
             let width = 1 + g.below(3) as usize;
-            // Half the cases draw no NaN: there the comparator is a total
-            // order and the two groupings must agree exactly.
-            let pool = if case % 2 == 0 { values.len() - 1 } else { values.len() };
-            let cols: Vec<Vec<f64>> = (0..width)
-                .map(|_| (0..n).map(|_| values[g.below(pool as u64) as usize]).collect())
+            let cols: Vec<Vec<u32>> = (0..width)
+                .map(|_| (0..n).map(|_| values[g.below(values.len() as u64) as usize]).collect())
                 .collect();
-            let key_of = |i: usize| cols.iter().map(|c| c[i]).collect::<Vec<f64>>();
-            let new = group_keys(&cols, n);
-            // With NaN the old comparator is not an order at all (std's sort
-            // may panic on it, and its result depends on the element type),
-            // so compare what it can define: the NaN-free rows group alike,
-            // and every NaN-keyed row is an item of its own.
-            let clean: Vec<(Vec<f64>, usize)> = (0..n)
-                .map(|i| (key_of(i), i))
-                .filter(|(k, _)| !k.iter().any(|v| v.is_nan()))
-                .collect();
-            let (nan_items, clean_items): (Vec<_>, Vec<_>) =
-                new.iter().cloned().partition(|it| it.key.iter().any(|v| v.is_nan()));
-            assert_eq!(bits(&clean_items), bits(&group_keyed_rows(clean)), "case {case}: {cols:?}");
-            assert!(nan_items.iter().all(|it| it.rows.len() == 1), "case {case}: {cols:?}");
-            let mut rows: Vec<usize> = new.iter().flat_map(|it| it.rows.iter().copied()).collect();
-            rows.sort_unstable();
-            assert_eq!(rows, (0..n).collect::<Vec<_>>(), "case {case}: every row once");
+            let keys: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+            let keyed =
+                (0..n).map(|i| (cols.iter().map(|c| f64::from(c[i])).collect(), i)).collect();
+            assert_eq!(
+                bits(&group_keys(&keys, n)),
+                bits(&group_keyed_rows(keyed)),
+                "case {case}: {cols:?}"
+            );
         }
     }
 

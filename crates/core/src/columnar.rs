@@ -1,214 +1,279 @@
-//! Columnar (struct-of-arrays) re-backing of [`DataSet`].
+//! Typed column tables: the one storage shape of a [`DataSet`](crate::DataSet).
 //!
-//! The sweep engine persists every run as one column per stored field
-//! (JSONL in `out/store/<run-id>/`), which keeps run files diffable,
-//! mergeable and cheap to scan for a single metric. The schema is not
-//! hand-maintained: it is derived from the per-kind field tables in
-//! [`crate::dataset`] (`set: Some(..)` columns only), so a field added to
-//! the row structs automatically persists — and derived fields (aliases,
-//! roll-ups) are automatically excluded.
+//! Each entity table holds one column per field, column-major: an
+//! attribute ([`Field::is_attribute`]) as `u32`, a metric as `f64`, the
+//! columns of each type back to back in one block. The per-kind
+//! **layouts** below are the single source of truth for which
+//! fields a kind carries and how each is backed:
 //!
-//! [`ColumnTable::new`] is a *validated* constructor: a table loaded from
-//! disk either matches the kind's stored schema exactly or fails with a
-//! message naming the mismatch, which makes [`ColumnarDataSet::to_dataset`]
-//! infallible.
+//! * *stored* fields are persisted, one `columns.jsonl` line each, in
+//!   layout order ([`schema_of`]);
+//! * *sums* (the router roll-ups `total_*`) are computed once when the
+//!   table is built, as `first + second` over two stored metrics;
+//! * *aliases* (`traffic`, `sat_time` on routers and `traffic` on
+//!   terminals) read another field's column.
+//!
+//! So [`DataSet::column`](crate::DataSet::column),
+//! [`DataSet::has_field`](crate::DataSet::has_field) and the run store's file
+//! schema can never disagree about which fields a kind carries, and a
+//! derived field is never persisted.
 
-use crate::dataset::{
-    DataSet, FieldCol, LinkRow, RouterRow, TerminalRow, LINK_COLS, ROUTER_COLS, TERMINAL_COLS,
-};
 use crate::entity::{EntityKind, Field};
-use hrviz_pdes::SimTime;
 
-fn stored_fields<R>(cols: &'static [FieldCol<R>]) -> Vec<Field> {
-    cols.iter().filter(|c| c.set.is_some()).map(|c| c.field).collect()
+/// How one field of an entity table is held.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Backing {
+    /// A persisted column.
+    Stored,
+    /// Computed when the table is built: `first + second`.
+    Sum(Field, Field),
+    /// The column of another field.
+    Alias(Field),
 }
 
-/// The stored (persistable) fields of an entity kind, in schema order.
-pub fn schema_of(kind: EntityKind) -> Vec<Field> {
+use Backing::{Alias, Stored, Sum};
+
+const ROUTER_LAYOUT: &[(Field, Backing)] = &[
+    (Field::GroupId, Stored),
+    (Field::RouterId, Stored),
+    (Field::RouterRank, Stored),
+    (Field::Workload, Stored),
+    (Field::GlobalTraffic, Stored),
+    (Field::GlobalSatTime, Stored),
+    (Field::LocalTraffic, Stored),
+    (Field::LocalSatTime, Stored),
+    (Field::TotalTraffic, Sum(Field::GlobalTraffic, Field::LocalTraffic)),
+    (Field::TotalSatTime, Sum(Field::GlobalSatTime, Field::LocalSatTime)),
+    (Field::Traffic, Alias(Field::TotalTraffic)),
+    (Field::SatTime, Alias(Field::TotalSatTime)),
+];
+
+/// Shared by local and global links.
+const LINK_LAYOUT: &[(Field, Backing)] = &[
+    (Field::GroupId, Stored),
+    (Field::RouterId, Stored),
+    (Field::RouterRank, Stored),
+    (Field::RouterPort, Stored),
+    (Field::Workload, Stored),
+    (Field::DstGroupId, Stored),
+    (Field::DstRouterId, Stored),
+    (Field::DstRouterRank, Stored),
+    (Field::DstRouterPort, Stored),
+    (Field::DstWorkload, Stored),
+    (Field::Traffic, Stored),
+    (Field::SatTime, Stored),
+];
+
+const TERMINAL_LAYOUT: &[(Field, Backing)] = &[
+    (Field::GroupId, Stored),
+    (Field::RouterId, Stored),
+    (Field::RouterRank, Stored),
+    (Field::RouterPort, Stored),
+    (Field::TerminalId, Stored),
+    (Field::Workload, Stored),
+    (Field::DataSize, Stored),
+    (Field::Traffic, Alias(Field::DataSize)),
+    (Field::SatTime, Stored),
+    (Field::RecvBytes, Stored),
+    (Field::BusyTime, Stored),
+    (Field::PacketsFinished, Stored),
+    (Field::PacketsSent, Stored),
+    (Field::AvgLatency, Stored),
+    (Field::AvgHops, Stored),
+];
+
+fn layout(kind: EntityKind) -> &'static [(Field, Backing)] {
     match kind {
-        EntityKind::Router => stored_fields(ROUTER_COLS),
-        EntityKind::LocalLink | EntityKind::GlobalLink => stored_fields(LINK_COLS),
-        EntityKind::Terminal => stored_fields(TERMINAL_COLS),
+        EntityKind::Router => ROUTER_LAYOUT,
+        EntityKind::LocalLink | EntityKind::GlobalLink => LINK_LAYOUT,
+        EntityKind::Terminal => TERMINAL_LAYOUT,
     }
 }
 
-/// One entity table stored column-major: `columns[i]` holds the values of
-/// `fields[i]` for every row.
+/// Every field `kind` carries, in layout order.
+pub(crate) fn fields_of(kind: EntityKind) -> impl Iterator<Item = Field> {
+    layout(kind).iter().map(|&(f, _)| f)
+}
+
+/// The stored (persisted) fields of an entity kind, in schema order.
+pub fn schema_of(kind: EntityKind) -> Vec<Field> {
+    layout(kind).iter().filter(|(_, b)| *b == Stored).map(|&(f, _)| f).collect()
+}
+
+/// Where `field`'s column sits in a `kind` table: its index among the
+/// held columns of its type (the attributes, or the stored-then-summed
+/// metrics), in layout order. An alias resolves to its target.
+fn slot(kind: EntityKind, field: Field) -> Option<usize> {
+    let mut held = 0;
+    for &(f, backing) in layout(kind) {
+        match backing {
+            Alias(target) if f == field => return slot(kind, target),
+            Alias(_) => {}
+            _ if f == field => return Some(held),
+            _ if f.is_attribute() == field.is_attribute() => held += 1,
+            _ => {}
+        }
+    }
+    None
+}
+
+/// One table's stored columns as they are read or built, before the
+/// table checks them: each column's field and length in the order they
+/// came, and the values back to back by type.
+#[derive(Clone, Debug, Default)]
+pub struct StoredColumns {
+    /// Each column's field and length, in the order appended.
+    pub fields: Vec<(Field, usize)>,
+    /// The attribute values, column after column.
+    pub attrs: Vec<u32>,
+    /// The metric values, column after column.
+    pub metrics: Vec<f64>,
+}
+
+impl StoredColumns {
+    /// Record that the `len` values of `field`'s column were appended to
+    /// its block. A `kind` table's first column fixes its row count, so
+    /// both blocks are sized then for every stored and summed column of
+    /// the kind, and the later columns append without reallocating.
+    pub fn column_done(&mut self, kind: EntityKind, field: Field, len: usize) {
+        if self.fields.is_empty() {
+            let held = |attr: bool| {
+                len * layout(kind)
+                    .iter()
+                    .filter(|&&(f, b)| !matches!(b, Alias(_)) && f.is_attribute() == attr)
+                    .count()
+            };
+            self.attrs.reserve_exact(held(true).saturating_sub(self.attrs.len()));
+            self.metrics.reserve_exact(held(false).saturating_sub(self.metrics.len()));
+        }
+        self.fields.push((field, len));
+    }
+}
+
+/// One borrowed column of an entity table.
+#[derive(Clone, Copy, Debug)]
+pub enum Column<'a> {
+    /// An attribute column.
+    U32(&'a [u32]),
+    /// A metric column.
+    F64(&'a [f64]),
+}
+
+impl Column<'_> {
+    /// The value at `row`, as `f64`.
+    pub fn get(&self, row: usize) -> f64 {
+        match self {
+            Column::U32(v) => f64::from(v[row]),
+            Column::F64(v) => v[row],
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Column::U32(v) => v.len(),
+            Column::F64(v) => v.len(),
+        }
+    }
+
+    /// `true` when the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// One entity table, column-major and typed (see the module docs). The
+/// columns of each type sit back to back in one allocation, so a loaded
+/// run holds eight blocks, not one allocation per column.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ColumnTable {
     kind: EntityKind,
     len: usize,
-    fields: Vec<Field>,
-    columns: Vec<Vec<f64>>,
+    /// The attribute columns, in layout order.
+    attrs: Vec<u32>,
+    /// The stored metric columns, then the summed ones, in layout order.
+    metrics: Vec<f64>,
 }
 
 impl ColumnTable {
-    /// Validated constructor for the load path: `fields` must be exactly
-    /// the stored schema of `kind` (same fields, same order) and every
-    /// column must have the same length.
-    pub fn new(
-        kind: EntityKind,
-        fields: Vec<Field>,
-        columns: Vec<Vec<f64>>,
-    ) -> Result<ColumnTable, String> {
+    /// Validated constructor (the load path): `stored` must hold exactly
+    /// the stored schema of `kind` (same fields, same order), all of one
+    /// length, each in the block of its type. The summed roll-ups are
+    /// computed here. No columns at all is an empty table (a run with no
+    /// rows of that kind).
+    pub(crate) fn new(kind: EntityKind, stored: StoredColumns) -> Result<ColumnTable, String> {
         let schema = schema_of(kind);
-        if fields != schema {
+        if !stored.fields.is_empty() && !stored.fields.iter().map(|(f, _)| f).eq(schema.iter()) {
             let want: Vec<&str> = schema.iter().map(|f| f.name()).collect();
-            let got: Vec<&str> = fields.iter().map(|f| f.name()).collect();
+            let got: Vec<&str> = stored.fields.iter().map(|(f, _)| f.name()).collect();
             return Err(format!(
                 "{kind} column schema mismatch: expected [{}], got [{}]",
                 want.join(", "),
                 got.join(", ")
             ));
         }
-        if fields.len() != columns.len() {
-            return Err(format!(
-                "{kind} table has {} fields but {} columns",
-                fields.len(),
-                columns.len()
-            ));
+        let len = stored.fields.first().map_or(0, |&(_, n)| n);
+        if let Some((f, n)) = stored.fields.iter().find(|&&(_, n)| n != len) {
+            return Err(format!("{kind} column {f} has {n} values, expected {len}"));
         }
-        let len = columns.first().map(Vec::len).unwrap_or(0);
-        for (f, c) in fields.iter().zip(&columns) {
-            if c.len() != len {
-                return Err(format!("{kind} column {f} has {} values, expected {len}", c.len()));
+        let attrs = stored.fields.iter().filter(|(f, _)| f.is_attribute()).count();
+        if stored.attrs.len() != len * attrs
+            || stored.metrics.len() != len * (stored.fields.len() - attrs)
+        {
+            return Err(format!("{kind} columns do not fill their blocks"));
+        }
+        Ok(ColumnTable::from_stored(kind, stored))
+    }
+
+    /// Build from stored columns already checked (or produced in schema
+    /// order) by the caller, computing the summed roll-ups (which follow
+    /// every stored field in each layout, so they append).
+    pub(crate) fn from_stored(kind: EntityKind, stored: StoredColumns) -> ColumnTable {
+        let len = stored.fields.first().map_or(0, |&(_, n)| n);
+        let StoredColumns { attrs, metrics, .. } = stored;
+        let mut table = ColumnTable { kind, len, attrs, metrics };
+        for &(_, backing) in layout(kind) {
+            if let Sum(a, b) = backing {
+                let sum: Vec<f64> =
+                    table.f64s(a).iter().zip(table.f64s(b)).map(|(x, y)| x + y).collect();
+                table.metrics.extend(sum);
             }
         }
-        Ok(ColumnTable { kind, len, fields, columns })
-    }
-
-    fn from_rows<R>(kind: EntityKind, rows: &[R], cols: &'static [FieldCol<R>]) -> ColumnTable {
-        let stored: Vec<&FieldCol<R>> = cols.iter().filter(|c| c.set.is_some()).collect();
-        ColumnTable {
-            kind,
-            len: rows.len(),
-            fields: stored.iter().map(|c| c.field).collect(),
-            columns: stored.iter().map(|c| rows.iter().map(c.get).collect()).collect(),
-        }
-    }
-
-    fn to_rows<R: Default>(&self, cols: &'static [FieldCol<R>]) -> Vec<R> {
-        let setters: Vec<fn(&mut R, f64)> = self
-            .fields
-            .iter()
-            .map(|f| {
-                cols.iter()
-                    .find(|c| c.field == *f)
-                    .and_then(|c| c.set)
-                    .expect("schema validated at construction")
-            })
-            .collect();
-        (0..self.len)
-            .map(|i| {
-                let mut row = R::default();
-                for (set, col) in setters.iter().zip(&self.columns) {
-                    set(&mut row, col[i]);
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// Entity kind of the table.
-    pub fn kind(&self) -> EntityKind {
-        self.kind
+        table
     }
 
     /// Row count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` when the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The column of `field` (stored or derived), `None` when the kind
+    /// does not carry it.
+    pub fn column(&self, field: Field) -> Option<Column<'_>> {
+        let start = slot(self.kind, field)? * self.len;
+        let cells = start..start + self.len;
+        Some(if field.is_attribute() {
+            Column::U32(&self.attrs[cells])
+        } else {
+            Column::F64(&self.metrics[cells])
+        })
     }
 
-    /// The stored fields, in column order.
-    pub fn fields(&self) -> &[Field] {
-        &self.fields
-    }
-
-    /// The values of one stored field (`None` for derived/absent fields).
-    pub fn column(&self, field: Field) -> Option<&[f64]> {
-        self.fields.iter().position(|&f| f == field).map(|i| self.columns[i].as_slice())
-    }
-
-    /// Iterate `(field, values)` pairs in column order.
-    pub fn iter(&self) -> impl Iterator<Item = (Field, &[f64])> {
-        self.fields.iter().copied().zip(self.columns.iter().map(Vec::as_slice))
-    }
-}
-
-/// A whole dataset stored column-major: the on-disk shape of a run in the
-/// sweep engine's `RunStore`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ColumnarDataSet {
-    /// Job names (same contract as [`DataSet::jobs`]).
-    pub jobs: Vec<String>,
-    /// Router columns.
-    pub routers: ColumnTable,
-    /// Local-link columns.
-    pub local_links: ColumnTable,
-    /// Global-link columns.
-    pub global_links: ColumnTable,
-    /// Terminal columns.
-    pub terminals: ColumnTable,
-    /// The time range the dataset covers.
-    pub time_range: Option<(SimTime, SimTime)>,
-}
-
-impl ColumnarDataSet {
-    /// Transpose a row-major dataset into columns.
-    pub fn from_dataset(ds: &DataSet) -> ColumnarDataSet {
-        ColumnarDataSet {
-            jobs: ds.jobs.clone(),
-            routers: ColumnTable::from_rows(EntityKind::Router, &ds.routers, ROUTER_COLS),
-            local_links: ColumnTable::from_rows(EntityKind::LocalLink, &ds.local_links, LINK_COLS),
-            global_links: ColumnTable::from_rows(
-                EntityKind::GlobalLink,
-                &ds.global_links,
-                LINK_COLS,
-            ),
-            terminals: ColumnTable::from_rows(EntityKind::Terminal, &ds.terminals, TERMINAL_COLS),
-            time_range: ds.time_range,
+    /// The `u32` column of attribute `field`; panics when the kind does
+    /// not carry it.
+    pub(crate) fn u32s(&self, field: Field) -> &[u32] {
+        match self.column(field) {
+            Some(Column::U32(v)) => v,
+            _ => panic!("{} rows have no attribute {field}", self.kind),
         }
     }
 
-    /// Validated constructor for the load path: each table must carry its
-    /// expected kind.
-    pub fn new(
-        jobs: Vec<String>,
-        routers: ColumnTable,
-        local_links: ColumnTable,
-        global_links: ColumnTable,
-        terminals: ColumnTable,
-        time_range: Option<(SimTime, SimTime)>,
-    ) -> Result<ColumnarDataSet, String> {
-        for (table, want) in [
-            (&routers, EntityKind::Router),
-            (&local_links, EntityKind::LocalLink),
-            (&global_links, EntityKind::GlobalLink),
-            (&terminals, EntityKind::Terminal),
-        ] {
-            if table.kind != want {
-                return Err(format!("expected a {want} table, got {}", table.kind));
-            }
-        }
-        Ok(ColumnarDataSet { jobs, routers, local_links, global_links, terminals, time_range })
-    }
-
-    /// Materialize row-major [`DataSet`] views over the columns. Derived
-    /// fields come back automatically because they are recomputed from the
-    /// stored parts by the field tables.
-    pub fn to_dataset(&self) -> DataSet {
-        DataSet {
-            jobs: self.jobs.clone(),
-            routers: self.routers.to_rows::<RouterRow>(ROUTER_COLS),
-            local_links: self.local_links.to_rows::<LinkRow>(LINK_COLS),
-            global_links: self.global_links.to_rows::<LinkRow>(LINK_COLS),
-            terminals: self.terminals.to_rows::<TerminalRow>(TERMINAL_COLS),
-            time_range: self.time_range,
+    /// The `f64` column of metric `field`; panics when the kind does not
+    /// carry it.
+    pub(crate) fn f64s(&self, field: Field) -> &[f64] {
+        match self.column(field) {
+            Some(Column::F64(v)) => v,
+            _ => panic!("{} rows have no metric {field}", self.kind),
         }
     }
 }
@@ -216,69 +281,7 @@ impl ColumnarDataSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toy() -> DataSet {
-        let mut d = DataSet { jobs: vec!["a".into(), "b".into()], ..DataSet::default() };
-        for i in 0..6u32 {
-            d.terminals.push(TerminalRow {
-                terminal: i,
-                router: i / 2,
-                group: i / 4,
-                rank: (i / 2) % 2,
-                port: i % 2,
-                job: i % 2,
-                data_size: 0.1 + i as f64 * 1000.0,
-                recv_bytes: 17.0,
-                busy: 3.5,
-                sat: i as f64 / 3.0, // non-terminating binary fraction
-                packets_finished: 2.0,
-                packets_sent: 2.0,
-                avg_latency: 1234.5678,
-                avg_hops: 3.25,
-            });
-        }
-        for i in 0..3u32 {
-            d.local_links.push(LinkRow {
-                src_router: i,
-                src_group: 0,
-                src_rank: i,
-                src_port: 1,
-                dst_router: (i + 1) % 3,
-                dst_group: 0,
-                dst_rank: (i + 1) % 3,
-                dst_port: 0,
-                src_job: 0,
-                dst_job: 1,
-                traffic: i as f64 * 4096.0,
-                sat: i as f64 * 0.001,
-            });
-        }
-        d.global_links.push(LinkRow { traffic: 9.0, ..LinkRow::default() });
-        d.routers.push(RouterRow {
-            router: 0,
-            group: 0,
-            rank: 0,
-            job: 0,
-            global_traffic: 9.0,
-            local_traffic: 4096.0,
-            global_sat: 0.25,
-            local_sat: 0.125,
-        });
-        d
-    }
-
-    #[test]
-    fn round_trip_is_exact() {
-        let ds = toy();
-        let col = ColumnarDataSet::from_dataset(&ds);
-        let back = col.to_dataset();
-        assert_eq!(back.jobs, ds.jobs);
-        assert_eq!(back.terminals, ds.terminals);
-        assert_eq!(back.local_links, ds.local_links);
-        assert_eq!(back.global_links, ds.global_links);
-        assert_eq!(back.routers, ds.routers);
-        assert_eq!(back.time_range, ds.time_range);
-    }
+    use crate::DataSet;
 
     #[test]
     fn schema_excludes_derived_fields() {
@@ -292,56 +295,63 @@ mod tests {
     }
 
     #[test]
-    fn derived_values_survive_the_round_trip() {
-        let ds = toy();
-        let back = ColumnarDataSet::from_dataset(&ds).to_dataset();
-        assert_eq!(
-            back.value(EntityKind::Router, 0, Field::TotalTraffic),
-            ds.value(EntityKind::Router, 0, Field::TotalTraffic),
-        );
+    fn layouts_type_attributes_as_u32_and_resolve_every_field() {
+        let none = DataSet::from_tables(vec![], vec![], vec![], vec![], vec![]);
+        for kind in EntityKind::ALL {
+            let t = none.table(kind);
+            for field in fields_of(kind) {
+                let col = t.column(field).expect("every layout field has a column");
+                assert_eq!(matches!(col, Column::U32(_)), field.is_attribute(), "{kind}/{field}");
+            }
+        }
+        assert!(none.table(EntityKind::Terminal).column(Field::TotalTraffic).is_none());
+    }
+
+    fn router_columns(global: &[f64]) -> StoredColumns {
+        let mut stored = StoredColumns::default();
+        for f in schema_of(EntityKind::Router) {
+            match f {
+                Field::GlobalTraffic => stored.metrics.extend_from_slice(global),
+                f if f.is_attribute() => stored.attrs.extend(0..global.len() as u32),
+                _ => stored.metrics.extend(global.iter().map(|_| 0.5)),
+            }
+            stored.column_done(EntityKind::Router, f, global.len());
+        }
+        stored
+    }
+
+    #[test]
+    fn sums_and_aliases_are_built_columns() {
+        let t = ColumnTable::new(EntityKind::Router, router_columns(&[1.0, 2.25])).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.f64s(Field::TotalTraffic), &[1.5, 2.75]);
+        assert_eq!(t.f64s(Field::Traffic), t.f64s(Field::TotalTraffic));
+        assert_eq!(t.f64s(Field::SatTime), &[1.0, 1.0]);
+        assert_eq!(t.u32s(Field::Workload), &[0, 1]);
+        // The first column sized both blocks for the whole table.
+        let stored = router_columns(&[1.0, 2.25]);
+        assert_eq!((stored.attrs.capacity(), stored.metrics.capacity()), (8, 12));
     }
 
     #[test]
     fn validated_constructor_rejects_bad_schemas() {
-        let ds = toy();
-        let col = ColumnarDataSet::from_dataset(&ds);
         // Wrong field set for the kind.
-        let err = ColumnTable::new(
-            EntityKind::Router,
-            col.terminals.fields().to_vec(),
-            col.terminals.columns.clone(),
-        )
-        .unwrap_err();
+        let err = ColumnTable::new(EntityKind::Terminal, router_columns(&[1.0])).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         // Ragged columns.
-        let mut ragged = col.terminals.columns.clone();
-        ragged[0].pop();
-        let err = ColumnTable::new(EntityKind::Terminal, col.terminals.fields().to_vec(), ragged)
-            .unwrap_err();
-        assert!(err.contains("expected"), "{err}");
-        // Kind mismatch at the dataset level.
-        let err = ColumnarDataSet::new(
-            vec![],
-            col.terminals.clone(),
-            col.local_links.clone(),
-            col.global_links.clone(),
-            col.routers.clone(),
-            None,
-        )
-        .unwrap_err();
-        assert!(err.contains("expected a router table"), "{err}");
-    }
-
-    #[test]
-    fn column_lookup_by_field() {
-        let col = ColumnarDataSet::from_dataset(&toy());
-        let sizes = col.terminals.column(Field::DataSize).unwrap();
-        assert_eq!(sizes.len(), 6);
-        assert_eq!(sizes[1], 1000.1);
-        assert!(col.terminals.column(Field::TotalTraffic).is_none());
-        assert_eq!(col.terminals.len(), 6);
-        assert!(!col.terminals.is_empty());
-        assert_eq!(col.terminals.kind(), EntityKind::Terminal);
-        assert_eq!(col.terminals.iter().count(), col.terminals.fields().len());
+        let mut ragged = router_columns(&[1.0, 2.0]);
+        ragged.fields[5].1 = 1;
+        let err = ColumnTable::new(EntityKind::Router, ragged).unwrap_err();
+        assert!(err.contains("expected 2"), "{err}");
+        // An attribute column appended to the metric block.
+        let mut misfiled = router_columns(&[1.0]);
+        let cell = misfiled.attrs.pop().unwrap();
+        misfiled.metrics.push(f64::from(cell));
+        let err = ColumnTable::new(EntityKind::Router, misfiled).unwrap_err();
+        assert!(err.contains("do not fill"), "{err}");
+        // No columns at all is an empty table.
+        let empty = ColumnTable::new(EntityKind::Terminal, StoredColumns::default()).unwrap();
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty.column(Field::AvgHops).map(|c| c.len()), Some(0));
     }
 }

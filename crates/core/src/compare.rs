@@ -40,9 +40,8 @@ mod tests {
     use crate::spec::LevelSpec;
 
     fn ds(scale: f64) -> DataSet {
-        let mut d = DataSet { jobs: vec!["a".into()], ..DataSet::default() };
-        for i in 0..4u32 {
-            d.terminals.push(TerminalRow {
+        let terminals = (0..4u32)
+            .map(|i| TerminalRow {
                 terminal: i,
                 router: i,
                 group: 0,
@@ -57,9 +56,9 @@ mod tests {
                 packets_sent: 1.0,
                 avg_latency: 0.0,
                 avg_hops: 0.0,
-            });
-        }
-        d
+            })
+            .collect();
+        DataSet::from_tables(vec!["a".into()], vec![], vec![], vec![], terminals)
     }
 
     fn spec() -> ProjectionSpec {

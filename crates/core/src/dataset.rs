@@ -1,4 +1,4 @@
-//! The dataset: flattened entity rows extracted from a simulation run
+//! The dataset: flattened entity tables extracted from a simulation run
 //! (optionally restricted to a time range or a selection).
 //!
 //! This is the root of the paper's entity tree (Fig. 2a): one table per
@@ -6,12 +6,11 @@
 //!
 //! Datasets are constructed through [`DataSetBuilder`] (time-range
 //! restriction, terminal brushing and idle filtering composed in one
-//! place); the per-kind **field tables** ([`FieldCol`]) are the single
-//! source of truth tying a [`Field`] to its row accessor, so
-//! [`DataSet::column`], [`DataSet::has_field`] and the columnar re-backing
-//! in [`crate::columnar`] can never disagree about which fields a kind
-//! carries.
+//! place). Every table is held column-major and typed, attributes as
+//! `u32` and metrics as `f64`; the per-kind layouts in [`crate::columnar`]
+//! say which fields a kind carries and how each is backed.
 
+use crate::columnar::{self, schema_of, Column, ColumnTable, StoredColumns};
 use crate::entity::{EntityKind, Field};
 use hrviz_network::{LinkRecord, RunData, TerminalRecord, NO_JOB};
 use hrviz_pdes::SimTime;
@@ -100,224 +99,94 @@ pub struct TerminalRow {
     pub avg_hops: f64,
 }
 
-/// One column of an entity table: the field, how to read it from a row,
-/// and — for *stored* fields — how to write it back. Derived fields
-/// (aliases and roll-ups such as [`Field::TotalTraffic`]) carry no setter
-/// and are recomputed from stored columns, never persisted.
-pub struct FieldCol<R: 'static> {
-    /// The field this column exposes.
-    pub field: Field,
-    /// Read the field from a row.
-    pub get: fn(&R) -> f64,
-    /// Write the field back into a row (`None` for derived fields).
-    pub set: Option<fn(&mut R, f64)>,
-}
-
-/// The router field table (single source of truth; see module docs).
-pub const ROUTER_COLS: &[FieldCol<RouterRow>] = &[
-    FieldCol {
-        field: Field::GroupId,
-        get: |r| r.group as f64,
-        set: Some(|r, v| r.group = v as u32),
-    },
-    FieldCol {
-        field: Field::RouterId,
-        get: |r| r.router as f64,
-        set: Some(|r, v| r.router = v as u32),
-    },
-    FieldCol {
-        field: Field::RouterRank,
-        get: |r| r.rank as f64,
-        set: Some(|r, v| r.rank = v as u32),
-    },
-    FieldCol { field: Field::Workload, get: |r| r.job as f64, set: Some(|r, v| r.job = v as u32) },
-    FieldCol {
-        field: Field::GlobalTraffic,
-        get: |r| r.global_traffic,
-        set: Some(|r, v| r.global_traffic = v),
-    },
-    FieldCol {
-        field: Field::GlobalSatTime,
-        get: |r| r.global_sat,
-        set: Some(|r, v| r.global_sat = v),
-    },
-    FieldCol {
-        field: Field::LocalTraffic,
-        get: |r| r.local_traffic,
-        set: Some(|r, v| r.local_traffic = v),
-    },
-    FieldCol {
-        field: Field::LocalSatTime,
-        get: |r| r.local_sat,
-        set: Some(|r, v| r.local_sat = v),
-    },
-    FieldCol { field: Field::TotalTraffic, get: |r| r.global_traffic + r.local_traffic, set: None },
-    FieldCol { field: Field::TotalSatTime, get: |r| r.global_sat + r.local_sat, set: None },
-    FieldCol { field: Field::Traffic, get: |r| r.global_traffic + r.local_traffic, set: None },
-    FieldCol { field: Field::SatTime, get: |r| r.global_sat + r.local_sat, set: None },
-];
-
-/// The link field table (shared by local and global links).
-pub const LINK_COLS: &[FieldCol<LinkRow>] = &[
-    FieldCol {
-        field: Field::GroupId,
-        get: |l| l.src_group as f64,
-        set: Some(|l, v| l.src_group = v as u32),
-    },
-    FieldCol {
-        field: Field::RouterId,
-        get: |l| l.src_router as f64,
-        set: Some(|l, v| l.src_router = v as u32),
-    },
-    FieldCol {
-        field: Field::RouterRank,
-        get: |l| l.src_rank as f64,
-        set: Some(|l, v| l.src_rank = v as u32),
-    },
-    FieldCol {
-        field: Field::RouterPort,
-        get: |l| l.src_port as f64,
-        set: Some(|l, v| l.src_port = v as u32),
-    },
-    FieldCol {
-        field: Field::Workload,
-        get: |l| l.src_job as f64,
-        set: Some(|l, v| l.src_job = v as u32),
-    },
-    FieldCol {
-        field: Field::DstGroupId,
-        get: |l| l.dst_group as f64,
-        set: Some(|l, v| l.dst_group = v as u32),
-    },
-    FieldCol {
-        field: Field::DstRouterId,
-        get: |l| l.dst_router as f64,
-        set: Some(|l, v| l.dst_router = v as u32),
-    },
-    FieldCol {
-        field: Field::DstRouterRank,
-        get: |l| l.dst_rank as f64,
-        set: Some(|l, v| l.dst_rank = v as u32),
-    },
-    FieldCol {
-        field: Field::DstRouterPort,
-        get: |l| l.dst_port as f64,
-        set: Some(|l, v| l.dst_port = v as u32),
-    },
-    FieldCol {
-        field: Field::DstWorkload,
-        get: |l| l.dst_job as f64,
-        set: Some(|l, v| l.dst_job = v as u32),
-    },
-    FieldCol { field: Field::Traffic, get: |l| l.traffic, set: Some(|l, v| l.traffic = v) },
-    FieldCol { field: Field::SatTime, get: |l| l.sat, set: Some(|l, v| l.sat = v) },
-];
-
-/// The terminal field table.
-pub const TERMINAL_COLS: &[FieldCol<TerminalRow>] = &[
-    FieldCol {
-        field: Field::GroupId,
-        get: |t| t.group as f64,
-        set: Some(|t, v| t.group = v as u32),
-    },
-    FieldCol {
-        field: Field::RouterId,
-        get: |t| t.router as f64,
-        set: Some(|t, v| t.router = v as u32),
-    },
-    FieldCol {
-        field: Field::RouterRank,
-        get: |t| t.rank as f64,
-        set: Some(|t, v| t.rank = v as u32),
-    },
-    FieldCol {
-        field: Field::RouterPort,
-        get: |t| t.port as f64,
-        set: Some(|t, v| t.port = v as u32),
-    },
-    FieldCol {
-        field: Field::TerminalId,
-        get: |t| t.terminal as f64,
-        set: Some(|t, v| t.terminal = v as u32),
-    },
-    FieldCol { field: Field::Workload, get: |t| t.job as f64, set: Some(|t, v| t.job = v as u32) },
-    FieldCol { field: Field::DataSize, get: |t| t.data_size, set: Some(|t, v| t.data_size = v) },
-    FieldCol { field: Field::Traffic, get: |t| t.data_size, set: None },
-    FieldCol { field: Field::SatTime, get: |t| t.sat, set: Some(|t, v| t.sat = v) },
-    FieldCol { field: Field::RecvBytes, get: |t| t.recv_bytes, set: Some(|t, v| t.recv_bytes = v) },
-    FieldCol { field: Field::BusyTime, get: |t| t.busy, set: Some(|t, v| t.busy = v) },
-    FieldCol {
-        field: Field::PacketsFinished,
-        get: |t| t.packets_finished,
-        set: Some(|t, v| t.packets_finished = v),
-    },
-    FieldCol {
-        field: Field::PacketsSent,
-        get: |t| t.packets_sent,
-        set: Some(|t, v| t.packets_sent = v),
-    },
-    FieldCol {
-        field: Field::AvgLatency,
-        get: |t| t.avg_latency,
-        set: Some(|t, v| t.avg_latency = v),
-    },
-    FieldCol { field: Field::AvgHops, get: |t| t.avg_hops, set: Some(|t, v| t.avg_hops = v) },
-];
-
-fn col_of<R>(cols: &'static [FieldCol<R>], kind: EntityKind, field: Field) -> fn(&R) -> f64 {
-    match cols.iter().find(|c| c.field == field) {
-        Some(c) => c.get,
-        None => panic!("{kind} rows have no field {field}"),
-    }
-}
-
-/// One field of one entity table, its field-table accessor resolved once
-/// ([`DataSet::column`]): reading a cell is an index and a call, not a
-/// search of the field table.
-#[derive(Clone, Copy)]
-pub(crate) struct Column<'a> {
-    field: Field,
-    cells: Cells<'a>,
-}
-
-#[derive(Clone, Copy)]
-enum Cells<'a> {
-    Router(&'a [RouterRow], fn(&RouterRow) -> f64),
-    Link(&'a [LinkRow], fn(&LinkRow) -> f64),
-    Terminal(&'a [TerminalRow], fn(&TerminalRow) -> f64),
-}
-
-impl Column<'_> {
-    /// The field this column reads.
-    pub(crate) fn field(&self) -> Field {
-        self.field
-    }
-
-    /// The value at `row`.
-    pub(crate) fn get(&self, row: usize) -> f64 {
-        match self.cells {
-            Cells::Router(rows, get) => get(&rows[row]),
-            Cells::Link(rows, get) => get(&rows[row]),
-            Cells::Terminal(rows, get) => get(&rows[row]),
-        }
-    }
-}
-
-/// The flattened dataset the analytics operate on.
-#[derive(Clone, Debug, Default)]
+/// The flattened dataset the analytics operate on: one typed,
+/// column-major [`ColumnTable`] per entity kind (see [`crate::columnar`]).
+/// Rows exist only as builder input ([`DataSet::from_tables`]) and as an
+/// on-demand gather for readers off the hot path
+/// ([`DataSet::terminal_rows`] and friends).
+#[derive(Clone, Debug, PartialEq)]
 pub struct DataSet {
     /// Job names; the index one past the end is the idle/"proxy" class.
     pub jobs: Vec<String>,
-    /// Router rows.
-    pub routers: Vec<RouterRow>,
-    /// Local-link rows.
-    pub local_links: Vec<LinkRow>,
-    /// Global-link rows.
-    pub global_links: Vec<LinkRow>,
-    /// Terminal rows.
-    pub terminals: Vec<TerminalRow>,
+    routers: ColumnTable,
+    local_links: ColumnTable,
+    global_links: ColumnTable,
+    terminals: ColumnTable,
     /// The time range this dataset covers (whole run when `None`).
     pub time_range: Option<(SimTime, SimTime)>,
+}
+
+/// One cell of a builder row.
+enum Cell {
+    U32(u32),
+    F64(f64),
+}
+
+/// The `kind` table of `rows`, `cell` reading each stored field of a row.
+fn table<R>(kind: EntityKind, rows: &[R], cell: impl Fn(&R, Field) -> Cell) -> ColumnTable {
+    let mut stored = StoredColumns::default();
+    for field in schema_of(kind) {
+        for row in rows {
+            match cell(row, field) {
+                Cell::U32(v) => stored.attrs.push(v),
+                Cell::F64(v) => stored.metrics.push(v),
+            }
+        }
+        stored.column_done(kind, field, rows.len());
+    }
+    ColumnTable::from_stored(kind, stored)
+}
+
+fn router_table(rows: &[RouterRow]) -> ColumnTable {
+    table(EntityKind::Router, rows, |r, f| match f {
+        Field::GroupId => Cell::U32(r.group),
+        Field::RouterId => Cell::U32(r.router),
+        Field::RouterRank => Cell::U32(r.rank),
+        Field::Workload => Cell::U32(r.job),
+        Field::GlobalTraffic => Cell::F64(r.global_traffic),
+        Field::GlobalSatTime => Cell::F64(r.global_sat),
+        Field::LocalTraffic => Cell::F64(r.local_traffic),
+        Field::LocalSatTime => Cell::F64(r.local_sat),
+        _ => unreachable!("router schema field {f}"),
+    })
+}
+
+fn link_table(kind: EntityKind, rows: &[LinkRow]) -> ColumnTable {
+    table(kind, rows, |l, f| match f {
+        Field::GroupId => Cell::U32(l.src_group),
+        Field::RouterId => Cell::U32(l.src_router),
+        Field::RouterRank => Cell::U32(l.src_rank),
+        Field::RouterPort => Cell::U32(l.src_port),
+        Field::Workload => Cell::U32(l.src_job),
+        Field::DstGroupId => Cell::U32(l.dst_group),
+        Field::DstRouterId => Cell::U32(l.dst_router),
+        Field::DstRouterRank => Cell::U32(l.dst_rank),
+        Field::DstRouterPort => Cell::U32(l.dst_port),
+        Field::DstWorkload => Cell::U32(l.dst_job),
+        Field::Traffic => Cell::F64(l.traffic),
+        Field::SatTime => Cell::F64(l.sat),
+        _ => unreachable!("link schema field {f}"),
+    })
+}
+
+fn terminal_table(rows: &[TerminalRow]) -> ColumnTable {
+    table(EntityKind::Terminal, rows, |t, f| match f {
+        Field::GroupId => Cell::U32(t.group),
+        Field::RouterId => Cell::U32(t.router),
+        Field::RouterRank => Cell::U32(t.rank),
+        Field::RouterPort => Cell::U32(t.port),
+        Field::TerminalId => Cell::U32(t.terminal),
+        Field::Workload => Cell::U32(t.job),
+        Field::DataSize => Cell::F64(t.data_size),
+        Field::SatTime => Cell::F64(t.sat),
+        Field::RecvBytes => Cell::F64(t.recv_bytes),
+        Field::BusyTime => Cell::F64(t.busy),
+        Field::PacketsFinished => Cell::F64(t.packets_finished),
+        Field::PacketsSent => Cell::F64(t.packets_sent),
+        Field::AvgLatency => Cell::F64(t.avg_latency),
+        Field::AvgHops => Cell::F64(t.avg_hops),
+        _ => unreachable!("terminal schema field {f}"),
+    })
 }
 
 fn ranged(v: u64, bins: &Option<hrviz_network::Bins>, range: Option<(SimTime, SimTime)>) -> f64 {
@@ -374,11 +243,15 @@ impl<'a> DataSetBuilder<'a> {
     pub fn build(self) -> DataSet {
         let ds = DataSet::extract(self.run, self.range);
         let proxy = ds.jobs.len() as u32;
-        match (self.brush, self.drop_idle) {
-            (Some(pred), true) => ds.filter_terminals(|t| t.job != proxy && pred(t)),
-            (Some(pred), false) => ds.filter_terminals(pred),
-            (None, true) => ds.filter_terminals(|t| t.job != proxy),
-            (None, false) => ds,
+        let job = ds.terminals.u32s(Field::Workload);
+        let idle = |i: usize| self.drop_idle && job[i] == proxy;
+        match self.brush {
+            Some(pred) => {
+                let rows = ds.terminal_rows();
+                ds.filter_terminals(|i| !idle(i) && pred(&rows[i]))
+            }
+            None if self.drop_idle => ds.filter_terminals(|i| !idle(i)),
+            None => ds,
         }
     }
 }
@@ -402,7 +275,40 @@ impl DataSet {
         global_links: Vec<LinkRow>,
         terminals: Vec<TerminalRow>,
     ) -> DataSet {
-        DataSet { jobs, routers, local_links, global_links, terminals, time_range: None }
+        DataSet {
+            jobs,
+            routers: router_table(&routers),
+            local_links: link_table(EntityKind::LocalLink, &local_links),
+            global_links: link_table(EntityKind::GlobalLink, &global_links),
+            terminals: terminal_table(&terminals),
+            time_range: None,
+        }
+    }
+
+    /// Validated constructor for the load path: each table's stored
+    /// columns, tables in [`EntityKind::ALL`] order, each checked against
+    /// its kind's schema: same fields, same order, one length.
+    pub fn from_columns(
+        jobs: Vec<String>,
+        stored: [StoredColumns; 4],
+        time_range: Option<(SimTime, SimTime)>,
+    ) -> Result<DataSet, String> {
+        let [routers, local_links, global_links, terminals] = stored;
+        Ok(DataSet {
+            jobs,
+            routers: ColumnTable::new(EntityKind::Router, routers)?,
+            local_links: ColumnTable::new(EntityKind::LocalLink, local_links)?,
+            global_links: ColumnTable::new(EntityKind::GlobalLink, global_links)?,
+            terminals: ColumnTable::new(EntityKind::Terminal, terminals)?,
+            time_range,
+        })
+    }
+
+    /// A copy of this dataset. A loaded run is already a `DataSet`; this
+    /// keeps callers that convert it with `to_dataset()` compiling, and it
+    /// is a plain clone, never a transpose.
+    pub fn to_dataset(&self) -> DataSet {
+        self.clone()
     }
 
     fn extract(run: &RunData, range: Option<(SimTime, SimTime)>) -> DataSet {
@@ -518,14 +424,9 @@ impl DataSet {
             r.global_sat += l.sat;
         }
 
-        DataSet {
-            jobs: run.jobs.iter().map(|j| j.name.clone()).collect(),
-            routers,
-            local_links,
-            global_links,
-            terminals,
-            time_range: range,
-        }
+        let jobs = run.jobs.iter().map(|j| j.name.clone()).collect();
+        let ds = DataSet::from_tables(jobs, routers, local_links, global_links, terminals);
+        DataSet { time_range: range, ..ds }
     }
 
     /// Display label for a job value produced by [`Field::Workload`].
@@ -535,12 +436,7 @@ impl DataSet {
 
     /// Number of rows of a kind.
     pub fn len(&self, kind: EntityKind) -> usize {
-        match kind {
-            EntityKind::Router => self.routers.len(),
-            EntityKind::LocalLink => self.local_links.len(),
-            EntityKind::GlobalLink => self.global_links.len(),
-            EntityKind::Terminal => self.terminals.len(),
-        }
+        self.table(kind).len()
     }
 
     /// `true` when the dataset has no rows at all.
@@ -548,21 +444,23 @@ impl DataSet {
         EntityKind::ALL.iter().all(|&k| self.len(k) == 0)
     }
 
-    /// The `field` column of the `kind` table, resolved through the
-    /// per-kind field table once. Panics on fields the entity does not
-    /// carry (script validation rejects those earlier).
-    pub(crate) fn column(&self, kind: EntityKind, field: Field) -> Column<'_> {
-        let cells = match kind {
-            EntityKind::Router => Cells::Router(&self.routers, col_of(ROUTER_COLS, kind, field)),
-            EntityKind::LocalLink => Cells::Link(&self.local_links, col_of(LINK_COLS, kind, field)),
-            EntityKind::GlobalLink => {
-                Cells::Link(&self.global_links, col_of(LINK_COLS, kind, field))
-            }
-            EntityKind::Terminal => {
-                Cells::Terminal(&self.terminals, col_of(TERMINAL_COLS, kind, field))
-            }
-        };
-        Column { field, cells }
+    /// The `kind` table.
+    pub fn table(&self, kind: EntityKind) -> &ColumnTable {
+        match kind {
+            EntityKind::Router => &self.routers,
+            EntityKind::LocalLink => &self.local_links,
+            EntityKind::GlobalLink => &self.global_links,
+            EntityKind::Terminal => &self.terminals,
+        }
+    }
+
+    /// The `field` column of the `kind` table. Panics on fields the entity
+    /// does not carry (script validation rejects those earlier).
+    pub fn column(&self, kind: EntityKind, field: Field) -> Column<'_> {
+        match self.table(kind).column(field) {
+            Some(col) => col,
+            None => panic!("{kind} rows have no field {field}"),
+        }
     }
 
     /// Field value of row `idx` of `kind` (one cell of
@@ -571,53 +469,147 @@ impl DataSet {
         self.column(kind, field).get(idx)
     }
 
-    /// Whether `kind` rows carry `field` — answered from the same field
-    /// table [`DataSet::value`] dispatches through, so the two can never
-    /// desync when a field is added.
+    /// Whether `kind` rows carry `field` — answered from the same layout
+    /// [`DataSet::column`] resolves through, so the two can never desync
+    /// when a field is added.
     pub fn has_field(kind: EntityKind, field: Field) -> bool {
-        match kind {
-            EntityKind::Router => ROUTER_COLS.iter().any(|c| c.field == field),
-            EntityKind::LocalLink | EntityKind::GlobalLink => {
-                LINK_COLS.iter().any(|c| c.field == field)
-            }
-            EntityKind::Terminal => TERMINAL_COLS.iter().any(|c| c.field == field),
-        }
+        columnar::fields_of(kind).any(|f| f == field)
     }
 
-    /// Every field `kind` rows carry, in field-table order.
-    pub fn fields_of(kind: EntityKind) -> Vec<Field> {
-        match kind {
-            EntityKind::Router => ROUTER_COLS.iter().map(|c| c.field).collect(),
-            EntityKind::LocalLink | EntityKind::GlobalLink => {
-                LINK_COLS.iter().map(|c| c.field).collect()
-            }
-            EntityKind::Terminal => TERMINAL_COLS.iter().map(|c| c.field).collect(),
-        }
+    /// The router rows, gathered from the columns (for readers off the
+    /// hot path).
+    pub fn router_rows(&self) -> Vec<RouterRow> {
+        let t = &self.routers;
+        let (router, group, rank, job) = (
+            t.u32s(Field::RouterId),
+            t.u32s(Field::GroupId),
+            t.u32s(Field::RouterRank),
+            t.u32s(Field::Workload),
+        );
+        let (global_traffic, global_sat, local_traffic, local_sat) = (
+            t.f64s(Field::GlobalTraffic),
+            t.f64s(Field::GlobalSatTime),
+            t.f64s(Field::LocalTraffic),
+            t.f64s(Field::LocalSatTime),
+        );
+        (0..t.len())
+            .map(|i| RouterRow {
+                router: router[i],
+                group: group[i],
+                rank: rank[i],
+                job: job[i],
+                global_traffic: global_traffic[i],
+                global_sat: global_sat[i],
+                local_traffic: local_traffic[i],
+                local_sat: local_sat[i],
+            })
+            .collect()
     }
 
-    /// Restrict to terminals satisfying `pred`, keeping links that touch a
-    /// router hosting a selected terminal (backs [`DataSetBuilder::brush`]
-    /// and [`DataSetBuilder::drop_idle`]).
-    pub(crate) fn filter_terminals(&self, pred: impl Fn(&TerminalRow) -> bool) -> DataSet {
-        let terminals: Vec<TerminalRow> =
-            self.terminals.iter().filter(|t| pred(t)).copied().collect();
+    /// The rows of link table `kind`, gathered from the columns.
+    pub fn link_rows(&self, kind: EntityKind) -> Vec<LinkRow> {
+        assert!(kind.is_link(), "{kind} is not a link table");
+        let t = self.table(kind);
+        let a = |f| t.u32s(f);
+        let (src_router, src_group, src_rank, src_port, src_job) = (
+            a(Field::RouterId),
+            a(Field::GroupId),
+            a(Field::RouterRank),
+            a(Field::RouterPort),
+            a(Field::Workload),
+        );
+        let (dst_router, dst_group, dst_rank, dst_port, dst_job) = (
+            a(Field::DstRouterId),
+            a(Field::DstGroupId),
+            a(Field::DstRouterRank),
+            a(Field::DstRouterPort),
+            a(Field::DstWorkload),
+        );
+        let (traffic, sat) = (t.f64s(Field::Traffic), t.f64s(Field::SatTime));
+        (0..t.len())
+            .map(|i| LinkRow {
+                src_router: src_router[i],
+                src_group: src_group[i],
+                src_rank: src_rank[i],
+                src_port: src_port[i],
+                dst_router: dst_router[i],
+                dst_group: dst_group[i],
+                dst_rank: dst_rank[i],
+                dst_port: dst_port[i],
+                src_job: src_job[i],
+                dst_job: dst_job[i],
+                traffic: traffic[i],
+                sat: sat[i],
+            })
+            .collect()
+    }
+
+    /// The terminal rows, gathered from the columns.
+    pub fn terminal_rows(&self) -> Vec<TerminalRow> {
+        let t = &self.terminals;
+        let a = |f| t.u32s(f);
+        let m = |f| t.f64s(f);
+        let (terminal, router, group, rank, port, job) = (
+            a(Field::TerminalId),
+            a(Field::RouterId),
+            a(Field::GroupId),
+            a(Field::RouterRank),
+            a(Field::RouterPort),
+            a(Field::Workload),
+        );
+        let (data_size, recv_bytes, busy, sat) =
+            (m(Field::DataSize), m(Field::RecvBytes), m(Field::BusyTime), m(Field::SatTime));
+        let (packets_finished, packets_sent, avg_latency, avg_hops) = (
+            m(Field::PacketsFinished),
+            m(Field::PacketsSent),
+            m(Field::AvgLatency),
+            m(Field::AvgHops),
+        );
+        (0..t.len())
+            .map(|i| TerminalRow {
+                terminal: terminal[i],
+                router: router[i],
+                group: group[i],
+                rank: rank[i],
+                port: port[i],
+                job: job[i],
+                data_size: data_size[i],
+                recv_bytes: recv_bytes[i],
+                busy: busy[i],
+                sat: sat[i],
+                packets_finished: packets_finished[i],
+                packets_sent: packets_sent[i],
+                avg_latency: avg_latency[i],
+                avg_hops: avg_hops[i],
+            })
+            .collect()
+    }
+
+    /// Restrict to the terminal rows `keep` accepts, keeping the routers
+    /// that host one and the links touching such a router (backs
+    /// [`DataSetBuilder::brush`], [`DataSetBuilder::drop_idle`] and
+    /// [`crate::detail::brush_axis`]).
+    pub(crate) fn filter_terminals(&self, keep: impl Fn(usize) -> bool) -> DataSet {
+        let terminals: Vec<TerminalRow> = self
+            .terminal_rows()
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| keep(*i))
+            .map(|(_, t)| t)
+            .collect();
         let routers_kept: HashSet<u32> = terminals.iter().map(|t| t.router).collect();
-        let keep_link = |l: &&LinkRow| {
+        let touches = |l: &LinkRow| {
             routers_kept.contains(&l.src_router) || routers_kept.contains(&l.dst_router)
         };
-        DataSet {
-            jobs: self.jobs.clone(),
-            routers: self
-                .routers
-                .iter()
-                .filter(|r| routers_kept.contains(&r.router))
-                .copied()
-                .collect(),
-            local_links: self.local_links.iter().filter(keep_link).copied().collect(),
-            global_links: self.global_links.iter().filter(keep_link).copied().collect(),
+        let links = |kind| self.link_rows(kind).into_iter().filter(touches).collect();
+        let ds = DataSet::from_tables(
+            self.jobs.clone(),
+            self.router_rows().into_iter().filter(|r| routers_kept.contains(&r.router)).collect(),
+            links(EntityKind::LocalLink),
+            links(EntityKind::GlobalLink),
             terminals,
-            time_range: self.time_range,
-        }
+        );
+        DataSet { time_range: self.time_range, ..ds }
     }
 }
 
@@ -652,10 +644,10 @@ mod tests {
     fn dataset_row_counts_match_run() {
         let run = toy_run(false);
         let ds = DataSet::builder(&run).build();
-        assert_eq!(ds.terminals.len(), run.terminals.len());
-        assert_eq!(ds.local_links.len(), run.local_links.len());
-        assert_eq!(ds.global_links.len(), run.global_links.len());
-        assert_eq!(ds.routers.len(), run.routers.len());
+        assert_eq!(ds.len(EntityKind::Terminal), run.terminals.len());
+        assert_eq!(ds.len(EntityKind::LocalLink), run.local_links.len());
+        assert_eq!(ds.len(EntityKind::GlobalLink), run.global_links.len());
+        assert_eq!(ds.len(EntityKind::Router), run.routers.len());
         assert_eq!(ds.len(EntityKind::Terminal), 72);
         assert!(!ds.is_empty());
     }
@@ -665,8 +657,8 @@ mod tests {
         let run = toy_run(false);
         let ds = DataSet::builder(&run).build();
         // Router local traffic equals the sum of its local-link rows.
-        let r0_local: f64 =
-            ds.local_links.iter().filter(|l| l.src_router == 0).map(|l| l.traffic).sum();
+        let links = ds.link_rows(EntityKind::LocalLink);
+        let r0_local: f64 = links.iter().filter(|l| l.src_router == 0).map(|l| l.traffic).sum();
         assert_eq!(ds.value(EntityKind::Router, 0, Field::LocalTraffic), r0_local);
         // Terminal data_size matches the injected volume.
         let injected: f64 =
@@ -678,13 +670,13 @@ mod tests {
     fn job_stamping_and_proxy_label() {
         let run = toy_run(false);
         let ds = DataSet::builder(&run).build();
-        assert_eq!(ds.terminals[0].job, 0);
-        assert_eq!(ds.terminals[40].job, 1); // proxy index
+        assert_eq!(ds.terminal_rows()[0].job, 0);
+        assert_eq!(ds.terminal_rows()[40].job, 1); // proxy index
         assert_eq!(ds.job_label(0), "toy");
         assert_eq!(ds.job_label(1), "idle/proxy");
         // Routers hosting job terminals get the job; far routers are proxy.
-        assert_eq!(ds.routers[0].job, 0);
-        assert_eq!(ds.routers[20].job, 1);
+        assert_eq!(ds.router_rows()[0].job, 0);
+        assert_eq!(ds.router_rows()[20].job, 1);
     }
 
     #[test]
@@ -692,34 +684,34 @@ mod tests {
         let run = toy_run(true);
         let full = DataSet::builder(&run).build();
         let early = DataSet::builder(&run).range(SimTime::ZERO, SimTime::micros(1)).build();
-        let total_full: f64 = full.terminals.iter().map(|t| t.data_size).sum();
-        let total_early: f64 = early.terminals.iter().map(|t| t.data_size).sum();
+        let data = |ds: &DataSet| -> f64 { ds.terminal_rows().iter().map(|t| t.data_size).sum() };
+        let (total_full, total_early) = (data(&full), data(&early));
         assert!(total_early <= total_full);
         assert!(total_early > 0.0, "injections happen at t=0");
         // The full range via bins reproduces the whole-run totals.
         let all = DataSet::builder(&run).range(SimTime::ZERO, SimTime::millis(100)).build();
-        let total_all: f64 = all.terminals.iter().map(|t| t.data_size).sum();
-        assert_eq!(total_all, total_full);
+        assert_eq!(data(&all), total_full);
     }
 
     #[test]
     fn brushing_keeps_touching_links() {
         let run = toy_run(false);
         let brushed = DataSet::builder(&run).brush(|t| t.terminal < 2).build();
-        assert_eq!(brushed.terminals.len(), 2);
-        assert!(brushed.local_links.iter().all(|l| l.src_router == 0 || l.dst_router == 0));
-        assert!(!brushed.local_links.is_empty());
-        assert_eq!(brushed.routers.len(), 1);
+        assert_eq!(brushed.len(EntityKind::Terminal), 2);
+        let links = brushed.link_rows(EntityKind::LocalLink);
+        assert!(links.iter().all(|l| l.src_router == 0 || l.dst_router == 0));
+        assert!(!links.is_empty());
+        assert_eq!(brushed.len(EntityKind::Router), 1);
     }
 
     #[test]
     fn idle_filtering_drops_unused_terminals() {
         let run = toy_run(false);
         let ds = DataSet::builder(&run).drop_idle().build();
-        assert_eq!(ds.terminals.len(), 16);
+        assert_eq!(ds.len(EntityKind::Terminal), 16);
         // Brushing and idle filtering compose in one pass.
         let both = DataSet::builder(&run).brush(|t| t.terminal < 4).drop_idle().build();
-        assert_eq!(both.terminals.len(), 4);
+        assert_eq!(both.len(EntityKind::Terminal), 4);
     }
 
     #[test]
@@ -733,12 +725,12 @@ mod tests {
 
     #[test]
     fn field_table_is_the_single_source_of_truth() {
-        // Every field the table lists is readable through value(); derived
-        // fields (no setter) are consistent with their stored parts.
+        // Every field the layout lists is readable through value(); derived
+        // fields are consistent with their stored parts.
         let run = toy_run(false);
         let ds = DataSet::builder(&run).build();
         for kind in EntityKind::ALL {
-            for field in DataSet::fields_of(kind) {
+            for field in columnar::fields_of(kind) {
                 assert!(DataSet::has_field(kind, field));
                 let v = ds.value(kind, 0, field);
                 assert!(v.is_finite(), "{kind}/{field} yields a finite value");
@@ -748,6 +740,21 @@ mod tests {
         let parts = ds.value(EntityKind::Router, 0, Field::GlobalTraffic)
             + ds.value(EntityKind::Router, 0, Field::LocalTraffic);
         assert_eq!(total, parts);
+    }
+
+    #[test]
+    fn rows_round_trip_through_the_columns() {
+        let run = toy_run(false);
+        let ds = DataSet::builder(&run).build();
+        let back = DataSet::from_tables(
+            ds.jobs.clone(),
+            ds.router_rows(),
+            ds.link_rows(EntityKind::LocalLink),
+            ds.link_rows(EntityKind::GlobalLink),
+            ds.terminal_rows(),
+        );
+        assert_eq!(back, ds);
+        assert_eq!(ds.to_dataset(), ds);
     }
 
     #[test]

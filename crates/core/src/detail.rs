@@ -2,7 +2,7 @@
 //! vs saturation for global and local links) and a parallel-coordinates
 //! plot over all terminal metrics, with highlighting and axis brushing.
 
-use crate::dataset::{DataSet, TerminalRow};
+use crate::dataset::DataSet;
 use crate::entity::{EntityKind, Field};
 
 /// One scatter point, indexed back to its dataset row.
@@ -38,12 +38,12 @@ pub struct LinkScatter {
 impl LinkScatter {
     fn new(ds: &DataSet, entity: EntityKind) -> LinkScatter {
         let (x_field, y_field) = (Field::Traffic, Field::SatTime);
+        let (xs, ys) = (ds.column(entity, x_field), ds.column(entity, y_field));
         let n = ds.len(entity);
         let mut points = Vec::with_capacity(n);
         let (mut x_max, mut y_max) = (0.0f64, 0.0f64);
         for row in 0..n {
-            let x = ds.value(entity, row, x_field);
-            let y = ds.value(entity, row, y_field);
+            let (x, y) = (xs.get(row), ys.get(row));
             x_max = x_max.max(x);
             y_max = y_max.max(y);
             points.push(ScatterPoint { row, x, y, highlighted: false });
@@ -95,27 +95,31 @@ pub struct ParallelCoords {
 
 impl ParallelCoords {
     fn new(ds: &DataSet) -> ParallelCoords {
+        let n = ds.len(EntityKind::Terminal);
+        let cols: Vec<_> = PCP_AXES.iter().map(|&f| ds.column(EntityKind::Terminal, f)).collect();
         let axes: Vec<PcpAxis> = PCP_AXES
             .iter()
-            .map(|&field| {
+            .zip(&cols)
+            .map(|(&field, col)| {
                 let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                for row in 0..ds.terminals.len() {
-                    let v = ds.value(EntityKind::Terminal, row, field);
+                for row in 0..n {
+                    let v = col.get(row);
                     min = min.min(v);
                     max = max.max(v);
                 }
-                if ds.terminals.is_empty() {
+                if n == 0 {
                     (min, max) = (0.0, 0.0);
                 }
                 PcpAxis { field, min, max }
             })
             .collect();
-        let lines = (0..ds.terminals.len())
+        let lines = (0..n)
             .map(|row| {
                 let values = axes
                     .iter()
-                    .map(|a| {
-                        let v = ds.value(EntityKind::Terminal, row, a.field);
+                    .zip(&cols)
+                    .map(|(a, col)| {
+                        let v = col.get(row);
                         if a.max > a.min {
                             (v - a.min) / (a.max - a.min)
                         } else {
@@ -203,28 +207,11 @@ pub fn brush_axis(ds: &DataSet, field: Field, lo: f64, hi: f64) -> DataSet {
         DataSet::has_field(EntityKind::Terminal, field),
         "brushing is over terminal axes; {field} is not one"
     );
-    let check = move |t: &TerminalRow| {
-        // Reuse the dataset accessor by matching on field directly.
-        let v = match field {
-            Field::DataSize | Field::Traffic => t.data_size,
-            Field::BusyTime => t.busy,
-            Field::SatTime => t.sat,
-            Field::PacketsFinished => t.packets_finished,
-            Field::PacketsSent => t.packets_sent,
-            Field::AvgHops => t.avg_hops,
-            Field::AvgLatency => t.avg_latency,
-            Field::RecvBytes => t.recv_bytes,
-            Field::Workload => t.job as f64,
-            Field::GroupId => t.group as f64,
-            Field::RouterId => t.router as f64,
-            Field::RouterRank => t.rank as f64,
-            Field::RouterPort => t.port as f64,
-            Field::TerminalId => t.terminal as f64,
-            _ => unreachable!("has_field checked"),
-        };
+    let col = ds.column(EntityKind::Terminal, field);
+    ds.filter_terminals(|row| {
+        let v = col.get(row);
         v >= lo && v <= hi
-    };
-    ds.filter_terminals(check)
+    })
 }
 
 #[cfg(test)]
@@ -233,9 +220,8 @@ mod tests {
     use crate::dataset::{LinkRow, TerminalRow};
 
     fn ds() -> DataSet {
-        let mut d = DataSet { jobs: vec!["a".into()], ..DataSet::default() };
-        for i in 0..4u32 {
-            d.terminals.push(TerminalRow {
+        let terminals = (0..4u32)
+            .map(|i| TerminalRow {
                 terminal: i,
                 router: i / 2,
                 group: 0,
@@ -250,9 +236,9 @@ mod tests {
                 packets_sent: 1.0,
                 avg_latency: 100.0 * (i + 1) as f64,
                 avg_hops: 2.0,
-            });
-        }
-        d.global_links.push(LinkRow {
+            })
+            .collect();
+        let global = LinkRow {
             src_router: 0,
             src_group: 0,
             src_rank: 0,
@@ -265,8 +251,8 @@ mod tests {
             dst_job: 0,
             traffic: 10.0,
             sat: 5.0,
-        });
-        d
+        };
+        DataSet::from_tables(vec!["a".into()], vec![], vec![], vec![global], terminals)
     }
 
     #[test]
@@ -309,8 +295,8 @@ mod tests {
     fn brush_axis_filters_terminals() {
         let d = ds();
         let brushed = brush_axis(&d, Field::AvgLatency, 150.0, 350.0);
-        assert_eq!(brushed.terminals.len(), 2);
-        assert!(brushed.terminals.iter().all(|t| t.avg_latency >= 150.0));
+        assert_eq!(brushed.len(EntityKind::Terminal), 2);
+        assert!(brushed.terminal_rows().iter().all(|t| t.avg_latency >= 150.0));
     }
 
     #[test]

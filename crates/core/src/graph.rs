@@ -660,9 +660,8 @@ mod tests {
     }
 
     fn ds() -> DataSet {
-        let mut d = DataSet { jobs: vec!["a".into()], ..DataSet::default() };
-        for i in 0..12u32 {
-            d.terminals.push(TerminalRow {
+        let terminals = (0..12u32)
+            .map(|i| TerminalRow {
                 terminal: i,
                 router: i / 2,
                 group: i / 6,
@@ -673,9 +672,9 @@ mod tests {
                 packets_finished: 1.0,
                 packets_sent: 1.0,
                 ..TerminalRow::default()
-            });
-        }
-        d
+            })
+            .collect();
+        DataSet::from_tables(vec!["a".into()], vec![], vec![], vec![], terminals)
     }
 
     fn view() -> ProjectionView {

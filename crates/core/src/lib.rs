@@ -62,7 +62,7 @@ pub use aggregate::{
     bin_items, group_rows, AggregateCache, AggregateItem, AggregateTree, DataKey, TreeLevel,
 };
 pub use color::{Color, ColorScale};
-pub use columnar::{schema_of, ColumnTable, ColumnarDataSet};
+pub use columnar::{schema_of, Column, ColumnTable, StoredColumns};
 pub use compare::{compare_views, compare_views_cached};
 pub use dataset::{DataSet, DataSetBuilder, LinkRow, RouterRow, TerminalRow};
 pub use detail::{brush_axis, DetailView, LinkScatter, ParallelCoords, PCP_AXES};

@@ -8,7 +8,8 @@
 
 use crate::aggregate::{group_rows, histogram, AggregateCache, AggregateItem, DataKey};
 use crate::color::{Color, ColorScale};
-use crate::dataset::{Column, DataSet};
+use crate::columnar::Column;
+use crate::dataset::DataSet;
 use crate::entity::{AggRule, EntityKind, Field};
 use crate::spec::{FilterClause, LevelSpec, PlotKind, ProjectionSpec, RibbonSpec, SpecError};
 use rayon::prelude::*;
@@ -232,7 +233,7 @@ fn prepare(ds: &DataSet, spec: &ProjectionSpec, cache: Cache) -> Result<Prepared
 /// `field` aggregated over each of `items`.
 fn metrics(ds: &DataSet, kind: EntityKind, field: Field, items: &[AggregateItem]) -> Vec<f64> {
     let col = ds.column(kind, field);
-    items.iter().map(|it| it.metric_of(col)).collect()
+    items.iter().map(|it| it.metric_of(field, col)).collect()
 }
 
 /// Group, filter and bin one level, plus its [`KeyMap`] when `with_keys`.
@@ -611,9 +612,19 @@ mod tests {
 
     /// 2 groups × 2 routers × 2 terminals, with hand-set metrics.
     fn ds() -> DataSet {
-        let mut d = DataSet { jobs: vec!["j0".into(), "j1".into()], ..DataSet::default() };
-        for i in 0..8u32 {
-            d.terminals.push(TerminalRow {
+        DataSet::from_tables(
+            vec!["j0".into(), "j1".into()],
+            vec![],
+            local_links(),
+            global_links(),
+            terminals(1.0),
+        )
+    }
+
+    /// The terminals, saturation scaled by `sat_scale`.
+    fn terminals(sat_scale: f64) -> Vec<TerminalRow> {
+        (0..8u32)
+            .map(|i| TerminalRow {
                 terminal: i,
                 router: i / 2,
                 group: i / 4,
@@ -623,17 +634,21 @@ mod tests {
                 data_size: 100.0 * (i + 1) as f64,
                 recv_bytes: 0.0,
                 busy: 5.0,
-                sat: i as f64 * 10.0,
+                sat: i as f64 * 10.0 * sat_scale,
                 packets_finished: 1.0,
                 packets_sent: 1.0,
                 avg_latency: 1000.0 + i as f64,
                 avg_hops: 3.0,
-            });
-        }
-        // Local links between the two routers of each group.
+            })
+            .collect()
+    }
+
+    /// Local links between the two routers of each group.
+    fn local_links() -> Vec<LinkRow> {
+        let mut links = Vec::new();
         for g in 0..2u32 {
             for (a, b) in [(0u32, 1u32), (1, 0)] {
-                d.local_links.push(LinkRow {
+                links.push(LinkRow {
                     src_router: g * 2 + a,
                     src_group: g,
                     src_rank: a,
@@ -649,9 +664,13 @@ mod tests {
                 });
             }
         }
-        // One global link pair between the groups.
-        for (sg, dg) in [(0u32, 1u32), (1, 0)] {
-            d.global_links.push(LinkRow {
+        links
+    }
+
+    /// One global link pair between the groups.
+    fn global_links() -> Vec<LinkRow> {
+        [(0u32, 1u32), (1, 0)]
+            .map(|(sg, dg)| LinkRow {
                 src_router: sg * 2,
                 src_group: sg,
                 src_rank: 0,
@@ -664,9 +683,8 @@ mod tests {
                 dst_job: dg,
                 traffic: 5000.0,
                 sat: 25.0,
-            });
-        }
-        d
+            })
+            .to_vec()
     }
 
     fn group_spec() -> ProjectionSpec {
@@ -778,10 +796,14 @@ mod tests {
     #[test]
     fn shared_scales_make_views_comparable() {
         let d1 = ds();
-        let mut d2 = ds();
-        for t in &mut d2.terminals {
-            t.sat *= 2.0; // run 2 saturates twice as hard
-        }
+        // Run 2 saturates twice as hard.
+        let d2 = DataSet::from_tables(
+            d1.jobs.clone(),
+            vec![],
+            local_links(),
+            global_links(),
+            terminals(2.0),
+        );
         let spec = group_spec();
         let mut scales = compute_scales(&d1, &spec).unwrap();
         scales.merge(&compute_scales(&d2, &spec).unwrap());
@@ -825,7 +847,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_builds_empty_view() {
-        let d = DataSet::default();
+        let d = DataSet::from_tables(vec![], vec![], vec![], vec![], vec![]);
         let view = build_view(&d, &group_spec()).unwrap();
         assert!(view.rings[0].items.is_empty());
         assert!(view.ribbons.is_empty());

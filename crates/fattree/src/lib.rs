@@ -36,7 +36,7 @@
 //! let run = sim.run();
 //! assert_eq!(run.delivered_bytes(), 8192);
 //! let ds = run.to_dataset();        // same analytics as the Dragonfly
-//! assert_eq!(ds.terminals.len(), 16);
+//! assert_eq!(ds.len(hrviz_core::EntityKind::Terminal), 16);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -512,8 +512,9 @@ mod tests {
         assert_eq!(run.delivered_bytes(), 10_000);
         let ds = run.to_dataset();
         // 5 switch hops: edge, agg, core, agg, edge.
-        assert_eq!(ds.terminals[15].avg_hops, 5.0);
-        assert!(ds.terminals[15].avg_latency > 0.0);
+        let terminals = ds.terminal_rows();
+        assert_eq!(terminals[15].avg_hops, 5.0);
+        assert!(terminals[15].avg_latency > 0.0);
     }
 
     #[test]
@@ -523,10 +524,11 @@ mod tests {
         sim.inject(msg(0, 0, 1, 4096)); // same edge switch
         let run = sim.run();
         let ds = run.to_dataset();
-        assert_eq!(ds.terminals[1].avg_hops, 1.0);
+        assert_eq!(ds.terminal_rows()[1].avg_hops, 1.0);
         // No pod or core link carries traffic.
-        assert!(ds.local_links.iter().all(|l| l.traffic == 0.0));
-        assert!(ds.global_links.iter().all(|l| l.traffic == 0.0));
+        for kind in [EntityKind::LocalLink, EntityKind::GlobalLink] {
+            assert!(ds.link_rows(kind).iter().all(|l| l.traffic == 0.0));
+        }
     }
 
     #[test]
@@ -580,7 +582,7 @@ mod tests {
         assert_eq!(streamed.delivered_bytes(), batch.delivered_bytes());
         assert_eq!(streamed.dropped_packets(), batch.dropped_packets());
         let (a, b) = (streamed.to_dataset(), batch.to_dataset());
-        for (x, y) in a.terminals.iter().zip(b.terminals.iter()) {
+        for (x, y) in a.terminal_rows().iter().zip(&b.terminal_rows()) {
             assert_eq!(x.avg_latency, y.avg_latency);
             assert_eq!(x.data_size, y.data_size);
         }
@@ -760,7 +762,7 @@ mod tests {
         let core_item = 4;
         assert!(view.ribbons.iter().all(|r| r.a == core_item || r.b == core_item));
         // Job stamping flows through.
-        assert!(ds.terminals.iter().all(|t| t.job == 0));
+        assert!(ds.terminal_rows().iter().all(|t| t.job == 0));
     }
 
     #[test]
@@ -770,8 +772,9 @@ mod tests {
         sim.inject(msg(0, 0, 15, 64 * 1024));
         let ds = sim.run().to_dataset();
         // 20 switches → 20 router rows; cores in pseudo-group 4.
-        assert_eq!(ds.routers.len(), 20);
-        let core_rows: Vec<_> = ds.routers.iter().filter(|r| r.group == 4).collect();
+        let routers = ds.router_rows();
+        assert_eq!(routers.len(), 20);
+        let core_rows: Vec<_> = routers.iter().filter(|r| r.group == 4).collect();
         assert_eq!(core_rows.len(), 4);
         // Per-packet ECMP spreads the 32-packet flow over the cores, but
         // every byte crosses the core layer exactly once.

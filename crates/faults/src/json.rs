@@ -7,9 +7,9 @@
 //!
 //! [`ObjectReader`] is the same parser driven as a pull reader: hot paths
 //! (the run store's `columns.jsonl`) decode an object's fields straight
-//! into their own types, numbers parsed once (short integers without the
-//! float parser) and no [`Value`] tree built, and it accepts exactly the
-//! documents [`parse`] accepts.
+//! into their own types (`f64` or `u32` arrays), numbers parsed once
+//! (short integers without the float parser) and no [`Value`] tree built,
+//! and it accepts exactly the documents [`parse`] accepts.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,6 +85,11 @@ const MAX_DEPTH: usize = 128;
 /// 10^15 < 2^53, so every such integer is an exact `f64`.
 const SHORT_INT_DIGITS: usize = 15;
 
+/// Most digits a `u32` cell may have to be read by
+/// [`ObjectReader::u32_array`]'s fast path: 10^9 - 1 < `u32::MAX`, so no
+/// such cell can overflow.
+const SHORT_U32_DIGITS: usize = 9;
+
 /// A pull reader over one JSON object document: the caller asks for each
 /// key in turn and reads its value with [`ObjectReader::string`],
 /// [`ObjectReader::f64_array`] or [`ObjectReader::skip_value`]. A document
@@ -134,19 +139,20 @@ impl<'a> ObjectReader<'a> {
         self.p.string()
     }
 
-    /// Read the current value, which must be an array, as `f64`s: each
-    /// number is scanned and parsed once, a short integer without the
-    /// float parser. `None` when the array holds a valid but non-numeric
-    /// element (`null`, a string, a nested value).
-    pub fn f64_array(&mut self) -> Result<Option<Vec<f64>>, String> {
+    /// Read the current value, which must be an array, appending its
+    /// numbers to `out` as `f64`s: each number is scanned and parsed once,
+    /// a short integer without the float parser. Returns `false` when the
+    /// array also holds a valid but non-numeric element (`null`, a string,
+    /// a nested value); its numbers are appended all the same.
+    pub fn f64_array(&mut self, out: &mut Vec<f64>) -> Result<bool, String> {
         self.p.skip_ws();
         self.p.expect_byte(b'[')?;
-        let mut out = Vec::new();
+        out.reserve_exact(self.p.cells_left());
         let mut numeric = true;
         self.p.skip_ws();
         if self.p.peek() == Some(b']') {
             self.p.pos += 1;
-            return Ok(Some(out));
+            return Ok(true);
         }
         loop {
             self.p.skip_ws();
@@ -164,7 +170,47 @@ impl<'a> ObjectReader<'a> {
             self.p.skip_ws();
             match self.p.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(numeric.then_some(out)),
+                Some(b']') => return Ok(numeric),
+                _ => return Err(self.p.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Read the current value, which must be an array, appending its
+    /// numbers to `out` as `u32`s: the attribute columns of a run. A cell
+    /// of 1 to [`SHORT_U32_DIGITS`] plain digits followed by `,` or `]` is
+    /// read straight off the bytes; any other element (whitespace, a sign,
+    /// a fraction, an exponent, more digits) goes through
+    /// [`Parser::number`] and is cast with `as u32` (saturating, fraction
+    /// dropped), so every cell decodes to exactly `parsed f64 as u32`.
+    /// Returns `false` on a valid but non-numeric element, as
+    /// [`ObjectReader::f64_array`] does.
+    pub fn u32_array(&mut self, out: &mut Vec<u32>) -> Result<bool, String> {
+        self.p.skip_ws();
+        self.p.expect_byte(b'[')?;
+        out.reserve_exact(self.p.cells_left());
+        let mut numeric = true;
+        self.p.skip_ws();
+        if self.p.peek() == Some(b']') {
+            self.p.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            if let Some(x) = self.p.short_u32() {
+                out.push(x);
+            } else {
+                self.p.skip_ws();
+                if matches!(self.p.peek(), Some(b'-' | b'0'..=b'9')) {
+                    out.push(self.p.number()?.1 as u32);
+                } else {
+                    self.p.value(2)?;
+                    numeric = false;
+                }
+                self.p.skip_ws();
+            }
+            match self.p.bump() {
+                Some(b',') => continue,
+                Some(b']') => return Ok(numeric),
                 _ => return Err(self.p.err("expected ',' or ']'")),
             }
         }
@@ -372,6 +418,36 @@ impl<'a> Parser<'a> {
         Some(if sign == 1 { -x } else { x })
     }
 
+    /// The array cells left in the document, counted by their separators
+    /// (exact for the rest of a flat array, an upper bound otherwise): the
+    /// room that lets a column be read without growing its vector twice.
+    fn cells_left(&self) -> usize {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        rest.iter().filter(|&&b| b == b',').count() + 1
+    }
+
+    /// Read a `u32` cell of 1 to [`SHORT_U32_DIGITS`] digits that ends at a
+    /// `,` or `]`, leaving the position on that byte. `None`, with nothing
+    /// consumed, for anything else.
+    fn short_u32(&mut self) -> Option<u32> {
+        let rest = self.bytes.get(self.pos..)?;
+        let (mut n, mut len) = (0u32, 0);
+        while len < SHORT_U32_DIGITS {
+            match rest.get(len) {
+                Some(&b @ b'0'..=b'9') => n = n * 10 + u32::from(b - b'0'),
+                _ => break,
+            }
+            len += 1;
+        }
+        match rest.get(len) {
+            Some(b',' | b']') if len > 0 => {
+                self.pos += len;
+                Some(n)
+            }
+            _ => None,
+        }
+    }
+
     /// Scan one number and parse it once: its raw text and its value.
     fn number(&mut self) -> Result<(&'a str, f64), String> {
         let start = self.pos;
@@ -478,6 +554,18 @@ mod tests {
         assert!(parse(&past_cap).is_err());
     }
 
+    /// The current array as `f64`s, `None` when it holds a non-number.
+    fn f64s(r: &mut ObjectReader) -> Option<Vec<f64>> {
+        let mut out = Vec::new();
+        r.f64_array(&mut out).unwrap().then_some(out)
+    }
+
+    /// The current array as `u32`s, `None` when it holds a non-number.
+    fn u32s(r: &mut ObjectReader) -> Option<Vec<u32>> {
+        let mut out = Vec::new();
+        r.u32_array(&mut out).unwrap().then_some(out)
+    }
+
     #[test]
     fn object_reader_decodes_fields_in_one_pass() {
         let doc = r#" {"s": "a\u0062", "v": [1, -0, 2.5e1, 9007199254740993], "x": {"y": [null]},
@@ -488,13 +576,13 @@ mod tests {
             match key.as_str() {
                 "s" => assert_eq!(r.string().unwrap(), "ab"),
                 "v" => {
-                    let v = r.f64_array().unwrap().unwrap();
+                    let v = f64s(&mut r).unwrap();
                     let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
                     let want = [1.0, -0.0, 25.0, 9007199254740993.0f64];
                     assert_eq!(bits, want.map(f64::to_bits));
                 }
-                "bad" => assert_eq!(r.f64_array().unwrap(), None),
-                "e" => assert_eq!(r.f64_array().unwrap(), Some(Vec::new())),
+                "bad" => assert_eq!(f64s(&mut r), None),
+                "e" => assert_eq!(f64s(&mut r), Some(Vec::new())),
                 _ => r.skip_value().unwrap(),
             }
             seen.push(key);
@@ -537,7 +625,7 @@ mod tests {
         let doc = format!("{{\"v\":[{}]}}", cells.join(","));
         let mut r = ObjectReader::new(&doc).unwrap();
         assert_eq!(r.next_key().unwrap().as_deref(), Some("v"));
-        let got = r.f64_array().unwrap().unwrap();
+        let got = f64s(&mut r).unwrap();
         assert_eq!(got.len(), cells.len());
         let mut short = 0;
         for (cell, x) in cells.iter().zip(&got) {
@@ -551,6 +639,61 @@ mod tests {
             short += usize::from(want_short);
         }
         assert!(short > 1_000 && short < 9_000, "{short} short integers");
+    }
+
+    #[test]
+    fn u32_cells_match_the_float_parser_cast_bit_for_bit() {
+        // The generated cells plus every width around the u32 boundary.
+        let mut cells = generated_cells();
+        for d in 1..=12u32 {
+            let p = 10u64.pow(d);
+            cells.extend([p - 1, p, p + 1].map(|x| x.to_string()));
+        }
+        cells.extend(["4294967295", "4294967296", "0", "007", "-0", "-3"].map(String::from));
+        let doc = format!("{{\"v\":[{}]}}", cells.join(","));
+        let mut r = ObjectReader::new(&doc).unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("v"));
+        let got = u32s(&mut r).unwrap();
+        assert_eq!(got.len(), cells.len());
+        let mut short = 0;
+        for (cell, &x) in cells.iter().zip(&got) {
+            assert_eq!(x, cell.parse::<f64>().unwrap() as u32, "{cell}");
+            // Exactly the unsigned integers of at most 9 digits skip it.
+            let want_short = cell.len() <= 9 && cell.bytes().all(|b| b.is_ascii_digit());
+            let text = format!("{cell},");
+            let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+            assert_eq!(p.short_u32().is_some(), want_short, "{cell}");
+            assert_eq!(p.pos, if want_short { cell.len() } else { 0 }, "{cell}");
+            short += usize::from(want_short);
+        }
+        assert!(short > 100 && short < 9_000, "{short} short cells");
+        // Whitespace, `[]` and non-numeric elements, as `f64_array` reads them.
+        for (doc, want) in [
+            ("[ 1 ,2\t,\n3 ]", Some(vec![1, 2, 3])),
+            ("[]", Some(vec![])),
+            ("[ ]", Some(vec![])),
+            ("[1,null]", None),
+            ("[\"7\",1]", None),
+        ] {
+            let text = format!("{{\"v\":{doc}}}");
+            let mut r = ObjectReader::new(&text).unwrap();
+            r.next_key().unwrap();
+            assert_eq!(u32s(&mut r), want, "{doc}");
+        }
+        // Arrays append to what the vector already holds.
+        let text = r#"{"a":[1,2],"b":[3]}"#;
+        let mut r = ObjectReader::new(text).unwrap();
+        let mut out = vec![9];
+        while r.next_key().unwrap().is_some() {
+            assert!(r.u32_array(&mut out).unwrap());
+        }
+        assert_eq!(out, [9, 1, 2, 3]);
+        for bad in ["[1,]", "[1 2]", "[-]", "[+1]", "[1", "[12a]"] {
+            let text = format!("{{\"v\":{bad}}}");
+            let mut r = ObjectReader::new(&text).unwrap();
+            r.next_key().unwrap();
+            assert!(r.u32_array(&mut Vec::new()).is_err(), "should reject {bad}");
+        }
     }
 
     #[test]

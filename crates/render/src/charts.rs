@@ -206,9 +206,8 @@ mod tests {
     use hrviz_core::{DataSet, EntityKind};
 
     fn detail() -> DetailView {
-        let mut d = DataSet { jobs: vec!["a".into()], ..DataSet::default() };
-        for i in 0..5u32 {
-            d.terminals.push(TerminalRow {
+        let terminals = (0..5u32)
+            .map(|i| TerminalRow {
                 terminal: i,
                 router: i,
                 group: 0,
@@ -223,9 +222,9 @@ mod tests {
                 packets_sent: 1.0,
                 avg_latency: 100.0,
                 avg_hops: 3.0,
-            });
-        }
-        d.global_links.push(LinkRow {
+            })
+            .collect();
+        let global = LinkRow {
             src_router: 0,
             src_group: 0,
             src_rank: 0,
@@ -238,7 +237,8 @@ mod tests {
             dst_job: 0,
             traffic: 500.0,
             sat: 20.0,
-        });
+        };
+        let d = DataSet::from_tables(vec!["a".into()], vec![], vec![], vec![global], terminals);
         DetailView::new(&d)
     }
 

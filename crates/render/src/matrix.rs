@@ -43,10 +43,7 @@ impl MatrixView {
             return None;
         }
         let dst = by.dst_counterpart()?;
-        let links: &[LinkRow] = match entity {
-            EntityKind::LocalLink => &ds.local_links,
-            _ => &ds.global_links,
-        };
+        let links = ds.link_rows(entity);
         let key_of = |l: &LinkRow, f: Field| -> f64 {
             match f {
                 Field::GroupId => l.src_group as f64,
@@ -76,7 +73,7 @@ impl MatrixView {
             keys.iter().enumerate().map(|(i, k)| (k.to_bits(), i)).collect();
         let n = keys.len();
         let mut cells = vec![0.0; n * n];
-        for l in links {
+        for l in &links {
             let r = index.get(&key_of(l, by).to_bits()).copied();
             let c = index.get(&key_of(l, dst).to_bits()).copied();
             // Both lookups always hit: `index` was built from these very
@@ -159,10 +156,8 @@ mod tests {
     use super::*;
 
     fn ds() -> DataSet {
-        let mut d = DataSet::default();
-        for (a, b, traffic, sat) in [(0u32, 1u32, 100.0, 5.0), (1, 0, 50.0, 2.0), (0, 2, 25.0, 0.0)]
-        {
-            d.local_links.push(LinkRow {
+        let links = [(0u32, 1u32, 100.0, 5.0), (1, 0, 50.0, 2.0), (0, 2, 25.0, 0.0)].map(
+            |(a, b, traffic, sat)| LinkRow {
                 src_router: a,
                 src_group: 0,
                 src_rank: a,
@@ -175,9 +170,9 @@ mod tests {
                 dst_job: 0,
                 traffic,
                 sat,
-            });
-        }
-        d
+            },
+        );
+        DataSet::from_tables(vec![], vec![], links.to_vec(), vec![], vec![])
     }
 
     #[test]

@@ -203,9 +203,8 @@ mod tests {
     };
 
     fn view() -> ProjectionView {
-        let mut d = DataSet { jobs: vec!["a".into()], ..DataSet::default() };
-        for i in 0..8u32 {
-            d.terminals.push(TerminalRow {
+        let terminals = (0..8u32)
+            .map(|i| TerminalRow {
                 terminal: i,
                 router: i / 2,
                 group: i / 4,
@@ -220,10 +219,11 @@ mod tests {
                 packets_sent: 1.0,
                 avg_latency: 10.0,
                 avg_hops: 3.0,
-            });
-        }
-        for (a, b) in [(0u32, 1u32), (1, 0), (2, 3), (3, 2), (0, 2), (2, 0)] {
-            d.local_links.push(hrviz_core::LinkRow {
+            })
+            .collect();
+        let pairs = [(0u32, 1u32), (1, 0), (2, 3), (3, 2), (0, 2), (2, 0)];
+        let local_links = pairs
+            .map(|(a, b)| hrviz_core::LinkRow {
                 src_router: a,
                 src_group: a / 2,
                 src_rank: a % 2,
@@ -236,8 +236,9 @@ mod tests {
                 dst_job: 0,
                 traffic: 100.0 * (a + b) as f64,
                 sat: 10.0,
-            });
-        }
+            })
+            .to_vec();
+        let d = DataSet::from_tables(vec!["a".into()], vec![], local_links, vec![], terminals);
         let spec = ProjectionSpec::new(vec![
             LevelSpec::new(EntityKind::Terminal).aggregate(&[Field::GroupId]).color(Field::SatTime),
             LevelSpec::new(EntityKind::Terminal)

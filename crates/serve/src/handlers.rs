@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use hrviz_core::{
-    build_view_cached, compare_views_cached, AggregateCache, ColumnarDataSet, Cursor, CursorError,
+    build_view_cached, compare_views_cached, schema_of, AggregateCache, Cursor, CursorError,
     DataKey, DataSet, EntityKind, Field, ProjectionGraph, ProjectionView, RequestError,
     ViewRequest,
 };
@@ -26,7 +26,7 @@ use hrviz_faults::HrvizError;
 use hrviz_obs::{fingerprint64, Json};
 use hrviz_render::{render_radial, render_radial_row, RadialLayout};
 use hrviz_stream::read_progress;
-use hrviz_sweep::{RunHealth, RunState, RunStore, StoredManifest, StoredRun};
+use hrviz_sweep::{RunHealth, RunState, RunStore, StoredManifest};
 
 use crate::cache::{etag, CachedBody, ResponseCache};
 use crate::http::{Request, Response};
@@ -568,8 +568,8 @@ impl App {
         let filter_part = table_filter.clone().unwrap_or_default();
         let tag = etag(&["columns", &generation, run, field_name, &filter_part]);
         self.cached(req, &tag, "application/json", || {
-            let stored = self.load_run(run)?;
-            let tables = columns_json(&stored.data, field, table_filter.as_deref());
+            let ds = self.dataset(run)?;
+            let tables = columns_json(&ds, field, table_filter.as_deref());
             if tables.is_empty() {
                 return Err(Response::error(
                     404,
@@ -796,21 +796,6 @@ impl App {
             .map_err(|e| Response::error(400, &e.to_string()))
     }
 
-    /// Load a run, degrading on-disk damage to a structured error instead
-    /// of a 500: a run whose manifest is fine but whose column file is
-    /// missing, torn, or checksum-failed answers `410 Gone` (it existed;
-    /// the store's next fsck pass will quarantine it) and bumps the
-    /// `serve/corrupt_run` counter.
-    fn load_run(&self, run: &str) -> Result<StoredRun, Response> {
-        self.store.load(run).map_err(|e| match e {
-            HrvizError::Parse { .. } | HrvizError::Io { .. } => {
-                hrviz_obs::get().counter_add("serve/corrupt_run", 1);
-                Response::error(410, &format!("run {run:?} is corrupt on disk ({e}); re-open the store or rerun fsck to quarantine it"))
-            }
-            other => Response::error(500, &other.to_string()),
-        })
-    }
-
     /// The aggregation-cache key for a stored run, a `404` when the run
     /// is absent (or the id is not the 16-hex-digit form the store
     /// emits). Only called on cold builds — warm replies never touch the
@@ -823,7 +808,12 @@ impl App {
         }
     }
 
-    /// A parsed dataset, through the bounded `(run, generation)` cache.
+    /// A loaded dataset, through the bounded `(run, generation)` cache.
+    /// On-disk damage degrades to a structured error instead of a 500: a
+    /// run whose manifest is fine but whose column file is missing, torn,
+    /// or checksum-failed answers `410 Gone` (it existed; the store's next
+    /// fsck pass will quarantine it) and bumps the `serve/corrupt_run`
+    /// counter.
     fn dataset(&self, run: &str) -> Result<Arc<DataSet>, Response> {
         let key = (run.to_string(), self.generation());
         {
@@ -832,8 +822,14 @@ impl App {
                 return Ok(Arc::clone(ds));
             }
         }
-        let stored = self.load_run(run)?;
-        let ds = Arc::new(stored.data.to_dataset());
+        let stored = self.store.load(run).map_err(|e| match e {
+            HrvizError::Parse { .. } | HrvizError::Io { .. } => {
+                hrviz_obs::get().counter_add("serve/corrupt_run", 1);
+                Response::error(410, &format!("run {run:?} is corrupt on disk ({e}); re-open the store or rerun fsck to quarantine it"))
+            }
+            other => Response::error(500, &other.to_string()),
+        })?;
+        let ds = Arc::new(stored.data);
         let mut cache = self.datasets.lock().unwrap_or_else(PoisonError::into_inner);
         if cache.map.insert(key.clone(), Arc::clone(&ds)).is_none() {
             cache.order.push_back(key);
@@ -915,23 +911,20 @@ fn manifest_json(m: &StoredManifest) -> Json {
     ])
 }
 
-fn columns_json(data: &ColumnarDataSet, field: Field, only: Option<&str>) -> Vec<Json> {
-    let tables: [(&str, &hrviz_core::ColumnTable); 4] = [
-        (EntityKind::Router.name(), &data.routers),
-        (EntityKind::LocalLink.name(), &data.local_links),
-        (EntityKind::GlobalLink.name(), &data.global_links),
-        (EntityKind::Terminal.name(), &data.terminals),
-    ];
-    tables
-        .iter()
-        .filter(|(name, _)| only.is_none_or(|o| o == *name))
-        .filter_map(|(name, table)| {
-            table.column(field).map(|values| {
-                Json::obj([
-                    ("table", Json::Str((*name).to_string())),
-                    ("values", Json::Arr(values.iter().map(|&v| Json::F64(v)).collect())),
-                ])
-            })
+/// The stored `field` column of every table that carries it (derived
+/// fields are not stored, so they are never listed).
+fn columns_json(ds: &DataSet, field: Field, only: Option<&str>) -> Vec<Json> {
+    EntityKind::ALL
+        .into_iter()
+        .filter(|kind| only.is_none_or(|o| o == kind.name()))
+        .filter(|&kind| schema_of(kind).contains(&field))
+        .map(|kind| {
+            let col = ds.column(kind, field);
+            let values = (0..col.len()).map(|i| Json::F64(col.get(i))).collect();
+            Json::obj([
+                ("table", Json::Str(kind.name().to_string())),
+                ("values", Json::Arr(values)),
+            ])
         })
         .collect()
 }

@@ -605,7 +605,7 @@ mod tests {
         let r = cfg.execute().unwrap();
         assert!(r.stats.events_processed > 0);
         assert!(r.delivered > 0);
-        assert_eq!(r.dataset.terminals.len(), 72);
+        assert_eq!(r.dataset.len(hrviz_core::EntityKind::Terminal), 72);
     }
 
     #[test]
@@ -617,7 +617,7 @@ mod tests {
         let r = spec.expand().unwrap()[0].execute().unwrap();
         assert!(r.stats.events_processed > 0);
         assert!(r.delivered > 0);
-        assert_eq!(r.dataset.terminals.len(), 16);
+        assert_eq!(r.dataset.len(hrviz_core::EntityKind::Terminal), 16);
     }
 
     #[test]

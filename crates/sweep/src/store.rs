@@ -10,7 +10,7 @@
 //!   checksums (one over the manifest body, one over the column file).
 //!   **No wall-clock fields**: serial and parallel sweeps of the same grid
 //!   must produce byte-identical stores.
-//! * `columns.jsonl` — the [`ColumnarDataSet`]: line 1 is a header with
+//! * `columns.jsonl` — the [`DataSet`]'s stored columns: line 1 is a header with
 //!   the job names and time range, then one line per stored column in
 //!   schema order (`{"table":…,"field":…,"values":[…]}`). Floats render
 //!   via Rust's shortest-round-trip `Display` and parse back with
@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hrviz_core::{schema_of, ColumnTable, ColumnarDataSet, DataKey, EntityKind, Field};
+use hrviz_core::{schema_of, DataKey, DataSet, EntityKind, Field, StoredColumns};
 use hrviz_faults::json::{self, Value};
 use hrviz_faults::HrvizError;
 use hrviz_obs::Json;
@@ -64,10 +64,6 @@ use hrviz_pdes::SimTime;
 use hrviz_stream::fsio::{atomic_write, reapable, tmp_path_of};
 
 use crate::spec::{RunConfig, RunResult};
-
-/// The four persisted tables, in file order.
-const TABLE_ORDER: [EntityKind; 4] =
-    [EntityKind::Router, EntityKind::LocalLink, EntityKind::GlobalLink, EntityKind::Terminal];
 
 /// Manifest format version, folded into [`code_fingerprint`].
 const MANIFEST_VERSION: u32 = 2;
@@ -202,8 +198,8 @@ pub struct StoredManifest {
 pub struct StoredRun {
     /// The manifest.
     pub manifest: StoredManifest,
-    /// The columnar tables.
-    pub data: ColumnarDataSet,
+    /// The dataset, decoded straight into its typed columns.
+    pub data: DataSet,
 }
 
 /// Structured result of a [`RunStore::fsck`] recovery pass.
@@ -664,7 +660,7 @@ impl RunStore {
     ) -> Result<PathBuf, HrvizError> {
         let dir = self.run_dir(&cfg.run_id());
         fs::create_dir_all(&dir).map_err(|e| HrvizError::io(dir.display().to_string(), e))?;
-        let columns = columns_jsonl(&ColumnarDataSet::from_dataset(&result.dataset));
+        let columns = columns_jsonl(&result.dataset);
         self.write_atomic(&dir.join("columns.jsonl"), columns.as_bytes(), true)?;
         let manifest = completed_manifest(cfg, result, prov, checksum_of(&columns));
         self.write_atomic(&dir.join("manifest.json"), manifest_text(&manifest).as_bytes(), true)?;
@@ -1084,22 +1080,13 @@ fn parse_manifest(text: &str) -> Result<StoredManifest, String> {
     Ok(m)
 }
 
-fn table_of(col: &ColumnarDataSet, kind: EntityKind) -> &ColumnTable {
-    match kind {
-        EntityKind::Router => &col.routers,
-        EntityKind::LocalLink => &col.local_links,
-        EntityKind::GlobalLink => &col.global_links,
-        EntityKind::Terminal => &col.terminals,
-    }
-}
-
-fn columns_jsonl(col: &ColumnarDataSet) -> String {
+fn columns_jsonl(ds: &DataSet) -> String {
     let mut out = String::new();
     let header = Json::obj([
-        ("jobs", Json::Arr(col.jobs.iter().map(|j| Json::Str(j.clone())).collect())),
+        ("jobs", Json::Arr(ds.jobs.iter().map(|j| Json::Str(j.clone())).collect())),
         (
             "time_range",
-            match col.time_range {
+            match ds.time_range {
                 None => Json::Null,
                 Some((s, e)) => Json::Arr(vec![Json::U64(s.as_nanos()), Json::U64(e.as_nanos())]),
             },
@@ -1107,12 +1094,15 @@ fn columns_jsonl(col: &ColumnarDataSet) -> String {
     ]);
     out.push_str(&header.render());
     out.push('\n');
-    for kind in TABLE_ORDER {
-        for (field, values) in table_of(col, kind).iter() {
+    // The four tables in file order, each column in schema order.
+    for kind in EntityKind::ALL {
+        for field in schema_of(kind) {
+            let values = ds.column(kind, field);
+            let values = (0..values.len()).map(|i| Json::F64(values.get(i))).collect();
             let line = Json::obj([
                 ("table", Json::Str(kind.name().to_string())),
                 ("field", Json::Str(field.name().to_string())),
-                ("values", Json::Arr(values.iter().map(|&x| Json::F64(x)).collect())),
+                ("values", Json::Arr(values)),
             ]);
             out.push_str(&line.render());
             out.push('\n');
@@ -1121,7 +1111,7 @@ fn columns_jsonl(col: &ColumnarDataSet) -> String {
     out
 }
 
-fn parse_columns(text: &str) -> Result<ColumnarDataSet, String> {
+fn parse_columns(text: &str) -> Result<DataSet, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = json::parse(lines.next().ok_or("empty column file")?)?;
     let jobs: Vec<String> = header
@@ -1146,55 +1136,54 @@ fn parse_columns(text: &str) -> Result<ColumnarDataSet, String> {
         }
     };
 
-    // Collect (field, values) per table in file order, then let the
-    // validated constructors check them against the schema.
-    let mut fields: Vec<Vec<Field>> = vec![Vec::new(); TABLE_ORDER.len()];
-    let mut columns: Vec<Vec<Vec<f64>>> = vec![Vec::new(); TABLE_ORDER.len()];
+    // Append each column to its table's blocks in file order, then let
+    // the validated constructor check them against the schema.
+    let mut tables: [StoredColumns; 4] = Default::default();
     for line in lines {
-        let (kind, field, values) = column_line(line)?;
-        let slot = TABLE_ORDER
-            .iter()
-            .position(|&k| k == kind)
-            .ok_or_else(|| format!("unexpected table {:?}", kind.name()))?;
-        fields[slot].push(field);
-        columns[slot].push(values);
+        column_line(line, &mut tables)?;
     }
-
-    let mut tables = Vec::with_capacity(TABLE_ORDER.len());
-    for (i, kind) in TABLE_ORDER.into_iter().enumerate() {
-        // A present table with zero columns only ever means rows existed
-        // but no stored fields — impossible; empty tables still list every
-        // schema column with zero values. Reconstruct empty tables when
-        // the run had no rows at all.
-        let (f, c) = (std::mem::take(&mut fields[i]), std::mem::take(&mut columns[i]));
-        let table = if f.is_empty() {
-            ColumnTable::new(
-                kind,
-                schema_of(kind),
-                schema_of(kind).iter().map(|_| Vec::new()).collect(),
-            )?
-        } else {
-            ColumnTable::new(kind, f, c)?
-        };
-        tables.push(table);
-    }
-    let [routers, local_links, global_links, terminals]: [ColumnTable; 4] =
-        tables.try_into().expect("four tables");
-    ColumnarDataSet::new(jobs, routers, local_links, global_links, terminals, time_range)
+    DataSet::from_columns(jobs, tables, time_range)
 }
 
 /// Decode one `{"table":…,"field":…,"values":[…]}` line in a single pass:
-/// each number is scanned and parsed once, straight into the column. As
-/// with a tree parse, keys may come in any order, the first of a repeated
-/// key wins and unknown keys are validated and skipped.
-fn column_line(line: &str) -> Result<(EntityKind, Field, Vec<f64>), String> {
+/// each number is scanned and parsed once, straight onto the end of its
+/// table's block of its type — `u32` for an attribute, `f64` for a
+/// metric. As with a tree parse, keys may come in any order, the first of
+/// a repeated key wins and unknown keys are validated and skipped. Values
+/// read before their table and field are known decode aside as `f64` and
+/// are appended after, an attribute's cast with `as u32`, which is what
+/// the `u32` reader yields.
+fn column_line(line: &str, tables: &mut [StoredColumns; 4]) -> Result<(), String> {
+    let slot = |kind| EntityKind::ALL.iter().position(|&k| k == kind).unwrap_or_default();
     let mut r = json::ObjectReader::new(line)?;
-    let (mut table, mut name, mut values) = (None, None, None);
+    let (mut table, mut name) = (None, None);
+    // The values: how many went onto their block, or the ones read aside;
+    // and whether every element was a number.
+    let mut values: Option<(Result<usize, Vec<f64>>, bool)> = None;
     while let Some(key) = r.next_key()? {
         match key.as_str() {
             "table" if table.is_none() => table = Some(r.string()?),
             "field" if name.is_none() => name = Some(r.string()?),
-            "values" if values.is_none() => values = Some(r.f64_array()?),
+            "values" if values.is_none() => {
+                let kind = table.as_deref().and_then(EntityKind::parse);
+                values = Some(match (kind, name.as_deref().and_then(Field::parse)) {
+                    (Some(kind), Some(field)) => {
+                        let t = &mut tables[slot(kind)];
+                        let before = t.attrs.len() + t.metrics.len();
+                        let numeric = if field.is_attribute() {
+                            r.u32_array(&mut t.attrs)?
+                        } else {
+                            r.f64_array(&mut t.metrics)?
+                        };
+                        (Ok(t.attrs.len() + t.metrics.len() - before), numeric)
+                    }
+                    _ => {
+                        let mut aside = Vec::new();
+                        let numeric = r.f64_array(&mut aside)?;
+                        (Err(aside), numeric)
+                    }
+                });
+            }
             _ => r.skip_value()?,
         }
     }
@@ -1202,10 +1191,21 @@ fn column_line(line: &str) -> Result<(EntityKind, Field, Vec<f64>), String> {
     let kind = EntityKind::parse(&table).ok_or_else(|| format!("unknown table {table:?}"))?;
     let name = name.ok_or("column missing field")?;
     let field = Field::parse(&name).ok_or_else(|| format!("unknown field {name:?}"))?;
-    let values = values
-        .ok_or("column missing values")?
-        .ok_or_else(|| format!("non-numeric value in {name}"))?;
-    Ok((kind, field, values))
+    let (values, numeric) = values.ok_or("column missing values")?;
+    if !numeric {
+        return Err(format!("non-numeric value in {name}"));
+    }
+    let t = &mut tables[slot(kind)];
+    let len = values.unwrap_or_else(|aside| {
+        if field.is_attribute() {
+            t.attrs.extend(aside.iter().map(|&x| x as u32));
+        } else {
+            t.metrics.extend_from_slice(&aside);
+        }
+        aside.len()
+    });
+    t.column_done(kind, field, len);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1249,11 +1249,10 @@ mod tests {
         assert_eq!(back.manifest.code_fingerprint, code_fingerprint());
         assert_eq!(back.manifest.fault_hash, "0");
         // The tables survive the JSONL round trip exactly, floats included.
-        let ds = back.data.to_dataset();
-        assert_eq!(ds.terminals, result.dataset.terminals);
-        assert_eq!(ds.routers, result.dataset.routers);
-        assert_eq!(ds.local_links, result.dataset.local_links);
-        assert_eq!(ds.global_links, result.dataset.global_links);
+        let ds = &back.data;
+        for kind in EntityKind::ALL {
+            assert_eq!(ds.table(kind), result.dataset.table(kind), "{kind}");
+        }
         assert_eq!(ds.jobs, result.dataset.jobs);
         assert_eq!(ds.time_range, result.dataset.time_range);
         // Save → load → save reproduces the column file byte for byte.
@@ -1599,32 +1598,56 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A decoded column: its table, field, whether it is `u32`, and its
+    /// values as comparable bits.
+    type Decoded = (EntityKind, Field, bool, Vec<u64>);
+
+    /// [`column_line`] on one line: the column it appends.
+    fn single_pass(line: &str) -> Result<Decoded, String> {
+        let mut tables: [StoredColumns; 4] = Default::default();
+        column_line(line, &mut tables)?;
+        let (kind, t) = EntityKind::ALL
+            .into_iter()
+            .zip(&tables)
+            .find(|(_, t)| !t.fields.is_empty())
+            .ok_or("no column appended")?;
+        let field = t.fields[0].0;
+        let bits = if field.is_attribute() {
+            t.attrs.iter().map(|&x| u64::from(x)).collect()
+        } else {
+            t.metrics.iter().map(|x| x.to_bits()).collect()
+        };
+        Ok((kind, field, field.is_attribute(), bits))
+    }
+
     /// The tree-based line decoder [`column_line`] replaced: parse the
-    /// line into a `Value` and convert. Kept as the reference it must
-    /// match.
-    fn tree_column_line(line: &str) -> Result<(EntityKind, Field, Vec<f64>), String> {
+    /// line into a `Value` and convert, an attribute with `as u32` as the
+    /// row setters did. Kept as the reference it must match.
+    fn tree_column_line(line: &str) -> Result<Decoded, String> {
         let v = json::parse(line)?;
         let table = v.get("table").and_then(Value::as_str).ok_or("column missing table")?;
         let kind = EntityKind::parse(table).ok_or_else(|| format!("unknown table {table:?}"))?;
         let name = v.get("field").and_then(Value::as_str).ok_or("column missing field")?;
         let field = Field::parse(name).ok_or_else(|| format!("unknown field {name:?}"))?;
-        let values = v
+        let values: Vec<f64> = v
             .get("values")
             .and_then(Value::as_arr)
             .ok_or("column missing values")?
             .iter()
             .map(|x| x.as_f64().ok_or_else(|| format!("non-numeric value in {name}")))
             .collect::<Result<_, _>>()?;
-        Ok((kind, field, values))
+        let bits = if field.is_attribute() {
+            values.iter().map(|&x| u64::from(x as u32)).collect()
+        } else {
+            values.iter().map(|x| x.to_bits()).collect()
+        };
+        Ok((kind, field, field.is_attribute(), bits))
     }
 
-    /// Both decoders accept `line` with bit-identical values, or both
-    /// reject it; returns whether it was accepted.
+    /// Both decoders accept `line` with bit-identical, identically typed
+    /// values, or both reject it; returns whether it was accepted.
     fn decoders_agree(line: &str) -> bool {
-        let bits = |r: Result<(EntityKind, Field, Vec<f64>), String>| {
-            r.map(|(k, f, v)| (k, f, v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()))
-        };
-        match (bits(column_line(line)), bits(tree_column_line(line))) {
+        match (single_pass(line), tree_column_line(line)) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a, b, "decoders disagree on {line:?}");
                 true
@@ -1645,11 +1668,49 @@ mod tests {
             let text = fs::read_to_string(dir.join("columns.jsonl")).unwrap();
             let lines: Vec<&str> = text.lines().skip(1).collect();
             assert!(lines.len() > 20, "every table's columns are stored");
+            let mut attributes = 0;
             for line in lines {
                 assert!(decoders_agree(line));
+                attributes += usize::from(single_pass(line).unwrap().2);
             }
+            // 4 router + 2 × 10 link + 6 terminal attribute columns.
+            assert_eq!(attributes, 30, "every attribute line decodes as u32");
         }
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn attribute_lines_decode_as_u32_exactly_as_the_tree_casts() {
+        let line =
+            |cells: &str| format!(r#"{{"table":"terminal","field":"rank","values":{cells}}}"#);
+        let edges = [
+            "[0]",
+            "[007]",
+            "[4294967295]",
+            "[4294967296]",
+            "[-3]",
+            "[1.5]",
+            "[1e3]",
+            "[1234567890]",
+            "[9999999999]",
+            "[1234567890123456789012345]",
+            "[ 1 , 2,\t3 ,\n4]",
+            "[]",
+            "[999999999,1000000000,0,-0,18446744073709551616]",
+        ];
+        for cells in edges {
+            let l = line(cells);
+            assert!(decoders_agree(&l), "should accept {l:?}");
+            assert!(single_pass(&l).unwrap().2, "{l:?} decodes as u32");
+        }
+        let (.., is_u32, bits) = single_pass(&line("[4294967296,9999999999,-3,1.5,1e3]")).unwrap();
+        assert!(is_u32);
+        assert_eq!(bits, [u32::MAX, u32::MAX, 0, 1, 1000].map(u64::from));
+        // Values read before the field is named still come out as u32.
+        let late = r#"{"values":[4294967296,7],"table":"terminal","field":"rank"}"#;
+        assert!(decoders_agree(late));
+        let (.., is_u32, bits) = single_pass(late).unwrap();
+        assert_eq!((is_u32, bits), (true, vec![4294967295, 7]));
     }
 
     #[test]
@@ -1726,7 +1787,7 @@ mod tests {
             assert!(!decoders_agree(&base[..k]), "should reject {:?}", &base[..k]);
         }
         // The field is named even when it follows the bad values.
-        let e = column_line(&rejected[2]).unwrap_err();
+        let e = single_pass(&rejected[2]).unwrap_err();
         assert_eq!(e, "non-numeric value in traffic");
     }
 

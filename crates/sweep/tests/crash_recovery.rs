@@ -15,6 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
+use hrviz_faults::HrvizError;
 use hrviz_network::RoutingAlgorithm;
 use hrviz_pdes::SimTime;
 use hrviz_sweep::{
@@ -184,6 +185,82 @@ fn concurrent_opens_of_one_store_all_succeed_and_leave_no_tmp() {
             });
         }
     });
+    assert_eq!(tmp_files(&root), Vec::<PathBuf>::new());
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Names the store a child writer process saves into (see
+/// [`writer_process`]); unset in every ordinary test run.
+const WRITER_ENV: &str = "HRVIZ_CRASH_RECOVERY_WRITER";
+
+/// The child side of [`opens_during_another_process_writes_succeed`]: with
+/// [`WRITER_ENV`] set, re-save the grid's runs (the same bytes each time)
+/// and bump `GENERATION` in a loop until a `stop` file appears, writing
+/// `ready` after the first round. Without it, there is nothing to do.
+#[test]
+fn writer_process() {
+    let Some(root) = std::env::var_os(WRITER_ENV).map(PathBuf::from) else { return };
+    let store = RunStore::open(&root).expect("writer opens the store");
+    let results: Vec<_> = grid()
+        .expand()
+        .expect("grid expands")
+        .into_iter()
+        .map(|cfg| {
+            let result = cfg.execute().expect("run executes");
+            (cfg, result)
+        })
+        .collect();
+    let mut rounds = 0u64;
+    while !root.join("stop").exists() {
+        for (cfg, result) in &results {
+            store.save(cfg, result).expect("writer saves");
+        }
+        store.bump_generation().expect("writer bumps");
+        rounds += 1;
+        if rounds == 1 {
+            fs::write(root.join("ready"), b"").expect("signal ready");
+        }
+    }
+}
+
+/// Another *process* keeps rewriting the store's runs while this one
+/// opens it (fsck included) and loads every run, again and again: every
+/// open succeeds, every load is the run or a structured error, and no
+/// `*.tmp` survives either side.
+#[test]
+fn opens_during_another_process_writes_succeed() {
+    let root = tmp("cross-process");
+    SweepEngine::new(RunStore::open(&root).expect("open"))
+        .with_workers(1)
+        .run(&grid())
+        .expect("sweep");
+    let mut child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["--exact", "writer_process", "--test-threads=1", "--quiet"])
+        .env(WRITER_ENV, &root)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn the writer process");
+    while !root.join("ready").exists() {
+        assert!(child.try_wait().expect("poll writer").is_none(), "writer exited early");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let before = RunStore::open(&root).expect("open").generation();
+    let (mut loaded, mut refused) = (0, 0);
+    for _ in 0..40 {
+        let store = RunStore::open(&root).expect("open while another process writes");
+        for run in store.runs().expect("list runs") {
+            match store.load(&run) {
+                Ok(_) => loaded += 1,
+                Err(HrvizError::Parse { .. } | HrvizError::Io { .. }) => refused += 1,
+                Err(e) => panic!("load of {run} is not a structured store error: {e}"),
+            }
+        }
+    }
+    let after = RunStore::open(&root).expect("open").generation();
+    fs::write(root.join("stop"), b"").expect("signal stop");
+    assert!(child.wait().expect("writer exits").success(), "writer process failed");
+    assert!(after > before, "the writer wrote during the opens ({before} -> {after})");
+    assert!(loaded > 0, "{loaded} loads, {refused} refused");
     assert_eq!(tmp_files(&root), Vec::<PathBuf>::new());
     let _ = fs::remove_dir_all(&root);
 }

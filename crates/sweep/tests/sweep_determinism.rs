@@ -112,12 +112,11 @@ fn loaded_runs_match_freshly_executed_datasets() {
     for (cfg, run_id) in spec.expand().unwrap().iter().zip(&out.run_ids) {
         let stored = engine.store().load(run_id).unwrap();
         let fresh = cfg.execute().unwrap();
-        let ds = stored.data.to_dataset();
+        let ds = &stored.data;
         assert_eq!(ds.jobs, fresh.dataset.jobs, "{}", cfg.label());
-        assert_eq!(ds.routers, fresh.dataset.routers, "{}", cfg.label());
-        assert_eq!(ds.local_links, fresh.dataset.local_links, "{}", cfg.label());
-        assert_eq!(ds.global_links, fresh.dataset.global_links, "{}", cfg.label());
-        assert_eq!(ds.terminals, fresh.dataset.terminals, "{}", cfg.label());
+        for kind in hrviz_core::EntityKind::ALL {
+            assert_eq!(ds.table(kind), fresh.dataset.table(kind), "{kind} {}", cfg.label());
+        }
         assert_eq!(ds.time_range, fresh.dataset.time_range, "{}", cfg.label());
         assert_eq!(stored.manifest.events_processed, fresh.stats.events_processed);
     }

@@ -164,7 +164,7 @@ fn bodies(store: &RunStore, runs: &[String]) -> Vec<Vec<u8>> {
     let loaded: Vec<(DataSet, DataKey)> = runs
         .iter()
         .map(|r| {
-            let ds = store.load(r).expect("load run").data.to_dataset();
+            let ds = store.load(r).expect("load run").data;
             (ds, DataKey { run: u64::from_str_radix(r, 16).expect("hex id"), generation })
         })
         .collect();

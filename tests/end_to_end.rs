@@ -1,7 +1,7 @@
 //! End-to-end integration: simulate → extract → script → project → render,
 //! across crate boundaries, with determinism checks.
 
-use hrviz::core::{build_view, parse_script, DataSet};
+use hrviz::core::{build_view, parse_script, DataSet, EntityKind};
 use hrviz::network::{
     DragonflyConfig, JobMeta, NetworkSpec, RoutingAlgorithm, RunData, Simulation, TerminalId,
 };
@@ -41,7 +41,7 @@ fn full_pipeline_produces_plausible_svg() {
     let run = simulate(1);
     assert_eq!(run.total_delivered(), run.total_injected());
     let ds = DataSet::builder(&run).drop_idle().build();
-    assert_eq!(ds.terminals.len(), 256);
+    assert_eq!(ds.len(EntityKind::Terminal), 256);
 
     let spec = parse_script(
         r#"

@@ -52,8 +52,8 @@ fn timeline_selection_rebuilds_restricted_views() {
     let (t0, t1) = tl.select_bins(0, 10);
     let full = DataSet::builder(&run).build();
     let ranged = DataSet::builder(&run).range(t0, t1).build();
-    let inj_full: f64 = full.terminals.iter().map(|t| t.data_size).sum();
-    let inj_ranged: f64 = ranged.terminals.iter().map(|t| t.data_size).sum();
+    let inj_full: f64 = full.terminal_rows().iter().map(|t| t.data_size).sum();
+    let inj_ranged: f64 = ranged.terminal_rows().iter().map(|t| t.data_size).sum();
     assert!(inj_ranged > 0.0);
     assert!(inj_ranged < inj_full, "second burst excluded");
     // Both datasets build the same spec.
@@ -72,16 +72,17 @@ fn brushing_narrows_and_view_follows() {
     let run = sampled_run();
     let ds = DataSet::builder(&run).build();
     let median = {
-        let mut l: Vec<f64> = ds.terminals.iter().map(|t| t.avg_latency).collect();
+        let mut l: Vec<f64> = ds.terminal_rows().iter().map(|t| t.avg_latency).collect();
         l.sort_by(|a, b| a.partial_cmp(b).unwrap());
         l[l.len() / 2]
     };
     let brushed = brush_axis(&ds, Field::AvgLatency, median, f64::INFINITY);
-    assert!(!brushed.terminals.is_empty());
-    assert!(brushed.terminals.len() <= ds.terminals.len() / 2 + 1);
+    let (kept, all) = (brushed.len(EntityKind::Terminal), ds.len(EntityKind::Terminal));
+    assert!(kept > 0);
+    assert!(kept <= all / 2 + 1);
     let view = build_view(&brushed, &spec()).unwrap();
     let terminals_shown: usize = view.rings[1].items.iter().map(|i| i.rows.len()).sum();
-    assert_eq!(terminals_shown, brushed.terminals.len());
+    assert_eq!(terminals_shown, kept);
 }
 
 #[test]
