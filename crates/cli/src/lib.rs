@@ -40,6 +40,7 @@ use hrviz_obs::{Collector, LogLevel};
 use hrviz_pdes::SimTime;
 use hrviz_render::{render_radial, render_radial_row, RadialLayout};
 use hrviz_serve::{install_signal_shutdown, ServeConfig, Server};
+use hrviz_stream::fsio::atomic_write;
 use hrviz_sweep::{
     dragonfly_of, read_progress, read_slices, AbortSpec, FaultAxis, RunStore, StoredManifest,
     StreamOptions, SweepEngine, SweepOptions, SweepSpec, TopologyAxis,
@@ -610,8 +611,8 @@ fn simulate(cli: &Cli, routing: RoutingAlgorithm) -> Result<RunData, HrvizError>
 }
 
 /// Like [`simulate`], honoring `--checkpoint-every` / `--restore-from`:
-/// periodic engine snapshots land in `<store>/checkpoints/` (atomic
-/// temp+rename writes) and the returned paths are reported as artifacts.
+/// periodic engine snapshots land in `<store>/checkpoints/` (written
+/// with [`atomic_write`]) and the returned paths are reported as artifacts.
 fn simulate_checkpointed(
     cli: &Cli,
     routing: RoutingAlgorithm,
@@ -659,10 +660,7 @@ fn simulate_checkpointed(
         CheckpointOptions { restore_from: restore.as_deref(), every },
         &mut |t, snap| {
             let path = dir.join(format!("{label}-t{:020}.ckpt", t.as_nanos()));
-            let tmp = dir.join(format!("{label}-t{:020}.ckpt.tmp", t.as_nanos()));
-            std::fs::write(&tmp, snap).map_err(|e| HrvizError::io(tmp.display().to_string(), e))?;
-            std::fs::rename(&tmp, &path)
-                .map_err(|e| HrvizError::io(path.display().to_string(), e))?;
+            atomic_write(&path, snap)?;
             written.push(path);
             Ok(())
         },
@@ -1762,6 +1760,53 @@ mod tests {
             resumed.metric_value("delivered_bytes"),
             straight.metric_value("delivered_bytes")
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoints_survive_concurrent_store_opens() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Every `RunStore::open` reaps `<store>/checkpoints/` tmps whose
+        // writer is gone, so a checkpoint's tmp must name its live writer.
+        let dir = std::env::temp_dir().join(format!("hrviz_cli_ckpt_race_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = dir.join("store");
+        let svg = dir.join("v.svg");
+        let cli = parse_args(&args(&[
+            "view",
+            "--terminals",
+            "72",
+            "--pattern",
+            "uniform-random",
+            "--routing",
+            "minimal",
+            "--msgs",
+            "16",
+            "--svg",
+            svg.to_str().unwrap(),
+            "--store",
+            store.to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+        ]))
+        .unwrap();
+        let done = AtomicBool::new(false);
+        let out = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    let _ = RunStore::open(&store);
+                }
+            });
+            let out = run(&cli);
+            done.store(true, Ordering::Relaxed);
+            out
+        });
+        let out = out.unwrap();
+        assert!(out.metric_value("checkpoints") >= Some(100.0), "{out}");
+        for entry in std::fs::read_dir(store.join("checkpoints")).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(!name.to_string_lossy().ends_with(".tmp"), "stray {name:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

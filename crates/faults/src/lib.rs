@@ -13,8 +13,8 @@
 //!   invalid config or a mid-run fault yields a clean error instead of a
 //!   panic.
 //!
-//! Schedules are plain JSON (parsed by a small built-in parser — the
-//! workspace builds offline with no serde):
+//! Schedules are plain JSON, read with the workspace's one codec
+//! ([`hrviz_obs::Json`]; the workspace builds offline with no serde):
 //!
 //! ```
 //! use hrviz_faults::{FaultSchedule, FaultEvent};
@@ -39,7 +39,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod error;
-pub mod json;
 pub mod schedule;
 pub mod view;
 

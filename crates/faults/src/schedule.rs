@@ -7,7 +7,7 @@
 //! seed — and an identical seed + schedule always replays bit-for-bit.
 
 use crate::error::HrvizError;
-use crate::json::{self, Value};
+use hrviz_obs::Json;
 use hrviz_pdes::wire::{SnapshotError, WireReader, WireWriter};
 use hrviz_pdes::SimTime;
 use rand::rngs::StdRng;
@@ -241,7 +241,7 @@ impl FaultSchedule {
 
     /// Parse a schedule from its JSON form.
     pub fn from_json(text: &str) -> Result<Self, HrvizError> {
-        let doc = json::parse(text).map_err(|e| HrvizError::parse("fault schedule", e))?;
+        let doc = Json::parse(text).map_err(|e| HrvizError::parse("fault schedule", e))?;
         let bad = |msg: String| HrvizError::parse("fault schedule", msg);
         let seed = match doc.get("seed") {
             None => 0,
@@ -250,13 +250,13 @@ impl FaultSchedule {
         let events_v = doc
             .get("events")
             .ok_or_else(|| bad("missing \"events\" array".into()))?
-            .as_arr()
+            .as_array()
             .ok_or_else(|| bad("\"events\" must be an array".into()))?;
         let mut sched = FaultSchedule::new(seed);
         for (i, ev) in events_v.iter().enumerate() {
             let field_u64 = |name: &str| {
                 ev.get(name)
-                    .and_then(Value::as_u64)
+                    .and_then(Json::as_u64)
                     .ok_or_else(|| bad(format!("event {i}: missing integer \"{name}\"")))
             };
             let field_u32 = |name: &str| {
@@ -267,7 +267,7 @@ impl FaultSchedule {
             let time = SimTime(field_u64("time_ns")?);
             let kind = ev
                 .get("kind")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or_else(|| bad(format!("event {i}: missing string \"kind\"")))?;
             let fault = match kind {
                 "link_down" => {
@@ -281,7 +281,7 @@ impl FaultSchedule {
                 "degraded_link" => {
                     let factor = ev
                         .get("factor")
-                        .and_then(Value::as_f64)
+                        .and_then(Json::as_f64)
                         .ok_or_else(|| bad(format!("event {i}: missing number \"factor\"")))?;
                     if !(factor > 0.0 && factor <= 1.0) {
                         return Err(bad(format!(

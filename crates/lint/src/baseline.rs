@@ -3,11 +3,11 @@
 //! A baseline entry matches findings by `(rule, file, snippet)` — the
 //! snippet is the trimmed source line, so findings survive unrelated line
 //! drift but die (correctly) the moment the offending code changes. The
-//! parser below covers exactly the flat shape the file uses; the linter
-//! stays zero-dependency on purpose.
+//! file is read and escaped with the workspace's JSON codec
+//! ([`hrviz_obs::Json`]).
 
 use crate::rules::Finding;
-use std::fmt::Write as _;
+use hrviz_obs::Json;
 
 /// One grandfathered finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,60 +28,33 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// Parse `lint-baseline.json` text. The grammar is the subset the
-    /// writer below emits: an object with a `findings` array of flat
-    /// string-valued objects.
+    /// Parse `lint-baseline.json` text: an object whose `findings` array
+    /// holds flat objects of string-valued `rule`, `file` and `snippet`.
+    /// Other top-level keys (`version`) are ignored.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let mut entries = Vec::new();
-        let mut toks = Tokens { bytes: text.as_bytes(), pos: 0 };
-        toks.expect_punct(b'{')?;
-        loop {
-            let key = toks.string()?;
-            toks.expect_punct(b':')?;
-            match key.as_str() {
-                "findings" => {
-                    toks.expect_punct(b'[')?;
-                    if toks.eat_punct(b']') {
-                        // empty list
-                    } else {
-                        loop {
-                            entries.push(Self::entry(&mut toks)?);
-                            if !toks.eat_punct(b',') {
-                                toks.expect_punct(b']')?;
-                                break;
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    toks.skip_scalar()?;
-                }
-            }
-            if !toks.eat_punct(b',') {
-                toks.expect_punct(b'}')?;
-                break;
-            }
-        }
+        let doc = Json::parse(text).map_err(|e| format!("baseline: {e}"))?;
+        let Json::Obj(_) = doc else { return Err("baseline: expected an object".into()) };
+        let findings = match doc.get("findings") {
+            None => &[][..],
+            Some(f) => f.as_array().ok_or("baseline: `findings` must be an array")?,
+        };
+        let entries = findings.iter().map(Self::entry).collect::<Result<_, _>>()?;
         Ok(Baseline { entries })
     }
 
-    fn entry(toks: &mut Tokens<'_>) -> Result<BaselineEntry, String> {
+    fn entry(v: &Json) -> Result<BaselineEntry, String> {
+        let Json::Obj(fields) = v else { return Err("baseline entry must be an object".into()) };
         let (mut rule, mut file, mut snippet) = (String::new(), String::new(), String::new());
-        toks.expect_punct(b'{')?;
-        loop {
-            let key = toks.string()?;
-            toks.expect_punct(b':')?;
-            let val = toks.string()?;
-            match key.as_str() {
-                "rule" => rule = val,
-                "file" => file = val,
-                "snippet" => snippet = val,
+        for (key, val) in fields {
+            let slot = match key.as_str() {
+                "rule" => &mut rule,
+                "file" => &mut file,
+                "snippet" => &mut snippet,
                 other => return Err(format!("unknown baseline field `{other}`")),
-            }
-            if !toks.eat_punct(b',') {
-                toks.expect_punct(b'}')?;
-                break;
-            }
+            };
+            let val =
+                val.as_str().ok_or_else(|| format!("baseline field `{key}` must be a string"))?;
+            *slot = val.to_string();
         }
         if rule.is_empty() || file.is_empty() || snippet.is_empty() {
             return Err("baseline entry needs rule, file and snippet".into());
@@ -111,128 +84,15 @@ impl Baseline {
     pub fn render(findings: &[Finding]) -> String {
         let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [\n");
         for (i, f) in findings.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"snippet\": \"{}\"}}{}",
-                escape(f.rule),
-                escape(&f.file),
-                escape(&f.snippet),
-                if i + 1 < findings.len() { "," } else { "" }
-            );
+            out.push_str("    {\"rule\": ");
+            Json::write_str(f.rule, &mut out);
+            out.push_str(", \"file\": ");
+            Json::write_str(&f.file, &mut out);
+            out.push_str(", \"snippet\": ");
+            Json::write_str(&f.snippet, &mut out);
+            out.push_str(if i + 1 < findings.len() { "},\n" } else { "}\n" });
         }
         out.push_str("  ]\n}\n");
         out
-    }
-}
-
-/// Escape a string for JSON output.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Whitespace-skipping token reader over the baseline subset of JSON.
-struct Tokens<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Tokens<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect_punct(&mut self, p: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&p) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("baseline: expected '{}' at byte {}", p as char, self.pos))
-        }
-    }
-
-    fn eat_punct(&mut self, p: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&p) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_punct(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("baseline: unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("baseline: bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err("baseline: unknown escape".into()),
-                    }
-                }
-                Some(_) => {
-                    // Copy the full UTF-8 char starting here.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "baseline: invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("baseline: truncated")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Skip a scalar value (number / string / literal) for unknown keys.
-    fn skip_scalar(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => self.string().map(|_| ()),
-            _ => {
-                while self.bytes.get(self.pos).is_some_and(|b| !matches!(b, b',' | b'}' | b']')) {
-                    self.pos += 1;
-                }
-                Ok(())
-            }
-        }
     }
 }

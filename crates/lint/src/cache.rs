@@ -1,32 +1,22 @@
 //! Content-hash incremental cache.
 //!
-//! One entry per file: the FNV-1a hash of its bytes plus the
-//! [`FileFacts`] the analysis produced. On the next run a file whose
-//! hash is unchanged skips lexing/parsing entirely — its facts feed the
-//! global passes straight from the cache. The cache header pins a
-//! fingerprint of the rule catalog, so adding/removing/renaming a rule
-//! invalidates every entry at once.
+//! One entry per file: the FNV-1a hash of its bytes
+//! ([`hrviz_obs::fingerprint64`]) plus the [`FileFacts`] the analysis
+//! produced. On the next run a file whose hash is unchanged skips
+//! lexing/parsing entirely — its facts feed the global passes straight
+//! from the cache. The cache header pins a fingerprint of the rule
+//! catalog, so adding/removing/renaming a rule invalidates every entry
+//! at once.
 //!
 //! The file lives in `target/` by default (derived state, never checked
 //! in); a corrupt or missing cache just means a cold run.
 
 use crate::facts::FileFacts;
 use crate::rules::RULES;
-use hrviz_obs::Json;
+use hrviz_obs::{fingerprint64, Json};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-
-/// 64-bit FNV-1a over `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Fingerprint of the rule catalog: any change to the rule set (or the
 /// cache schema, via the version salt) must invalidate cached facts.
@@ -36,7 +26,7 @@ fn catalog_fingerprint() -> u64 {
         ids.push_str(r.id);
         ids.push(';');
     }
-    fnv1a(ids.as_bytes())
+    fingerprint64(&ids)
 }
 
 /// The on-disk cache, keyed by workspace-relative path.
@@ -91,21 +81,19 @@ impl Cache {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let mut out = String::from("{\"version\":1,\"catalog\":");
-        let _ = write!(out, "{}", catalog_fingerprint());
-        out.push_str(",\"files\":[");
-        for (i, (rel, (hash, facts))) in self.entries.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"path\":\"{}\",\"hash\":{},\"facts\":{}}}",
-                if i == 0 { "" } else { "," },
-                crate::baseline::escape(rel),
-                hash,
-                facts.to_json(),
-            );
-        }
-        out.push_str("]}\n");
-        std::fs::write(path, out)
+        let files = self.entries.iter().map(|(rel, (hash, facts))| {
+            Json::obj([
+                ("path", Json::Str(rel.clone())),
+                ("hash", Json::U64(*hash)),
+                ("facts", facts.to_json()),
+            ])
+        });
+        let doc = Json::obj([
+            ("version", Json::U64(1)),
+            ("catalog", Json::U64(catalog_fingerprint())),
+            ("files", Json::Arr(files.collect())),
+        ]);
+        std::fs::write(path, doc.render() + "\n")
     }
 
     /// Number of cached files (for tests and stats).
@@ -125,11 +113,11 @@ mod tests {
     use crate::rules::Finding;
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    fn fingerprint64_matches_fnv1a_reference_vectors() {
+        // Published FNV-1a test vectors: cache keys are FNV-1a hashes.
+        assert_eq!(fingerprint64(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fingerprint64("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fingerprint64("foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Human and JSON renderings of a lint run (SARIF lives in
 //! [`crate::sarif`]).
 
-use crate::baseline::escape;
 use crate::rules::Finding;
 use crate::LintStats;
+use hrviz_obs::Json;
 use std::fmt::Write as _;
 
 /// Render findings the way rustc renders warnings, grandfathered ones
@@ -35,30 +35,30 @@ pub fn human(findings: &[Finding]) -> (String, usize) {
 /// `"parsed":0`).
 pub fn json(findings: &[Finding], stats: LintStats) -> String {
     let active = findings.iter().filter(|f| !f.baselined).count();
-    let mut out = String::from("{\"version\":1,\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"snippet\":\"{}\",\
-             \"message\":\"{}\",\"baselined\":{}}}",
-            if i == 0 { "" } else { "," },
-            escape(f.rule),
-            escape(&f.file),
-            f.line,
-            escape(&f.snippet),
-            escape(&f.message),
-            f.baselined,
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"active\":{active},\"grandfathered\":{},\"stats\":{{\"files\":{},\
-         \"parsed\":{},\"cache_hits\":{}}}}}",
-        findings.len() - active,
-        stats.files,
-        stats.parsed,
-        stats.cache_hits,
-    );
-    out.push('\n');
-    out
+    let s = |v: &str| Json::Str(v.to_string());
+    let items = findings.iter().map(|f| {
+        Json::obj([
+            ("rule", s(f.rule)),
+            ("file", s(&f.file)),
+            ("line", Json::from(f.line)),
+            ("snippet", s(&f.snippet)),
+            ("message", s(&f.message)),
+            ("baselined", Json::Bool(f.baselined)),
+        ])
+    });
+    let doc = Json::obj([
+        ("version", Json::U64(1)),
+        ("findings", Json::Arr(items.collect())),
+        ("active", Json::from(active)),
+        ("grandfathered", Json::from(findings.len() - active)),
+        (
+            "stats",
+            Json::obj([
+                ("files", Json::from(stats.files)),
+                ("parsed", Json::from(stats.parsed)),
+                ("cache_hits", Json::from(stats.cache_hits)),
+            ]),
+        ),
+    ]);
+    doc.render() + "\n"
 }

@@ -7,14 +7,11 @@
 //! collected facts, so cross-file rules stay correct even when every
 //! per-file result came from the cache.
 //!
-//! Facts serialize to the cache file through a hand-rolled writer and
-//! parse back through [`hrviz_obs::Json`] — the same zero-external-dep
-//! JSON the rest of the workspace uses.
+//! Facts serialize to the cache file and parse back through
+//! [`hrviz_obs::Json`], the workspace's one JSON codec.
 
-use crate::baseline::escape;
 use crate::rules::{rule, Finding};
 use hrviz_obs::Json;
-use std::fmt::Write as _;
 
 /// One held→acquired lock edge, with its site for diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,53 +49,42 @@ pub struct FileFacts {
 
 impl FileFacts {
     /// Serialize as a JSON object (one cache entry value).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"snippet\":\"{}\",\
-                 \"message\":\"{}\"}}",
-                comma(i),
-                escape(f.rule),
-                escape(&f.file),
-                f.line,
-                escape(&f.snippet),
-                escape(&f.message),
-            );
-        }
-        out.push_str("],\"edges\":[");
-        for (i, e) in self.edges.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"held\":\"{}\",\"acquired\":\"{}\",\"file\":\"{}\",\"line\":{},\
-                 \"snippet\":\"{}\",\"suppressed\":{}}}",
-                comma(i),
-                escape(&e.held),
-                escape(&e.acquired),
-                escape(&e.file),
-                e.line,
-                escape(&e.snippet),
-                e.suppressed,
-            );
-        }
-        out.push_str("],\"writes\":[");
-        for (i, w) in self.writes.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"name\":\"{}\",\"kind\":\"{}\",\"file\":\"{}\",\"line\":{},\
-                 \"snippet\":\"{}\",\"suppressed\":{}}}",
-                comma(i),
-                escape(&w.name),
-                escape(&w.kind),
-                escape(&w.file),
-                w.line,
-                escape(&w.snippet),
-                w.suppressed,
-            );
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        let s = |v: &str| Json::Str(v.to_string());
+        let findings = self.findings.iter().map(|f| {
+            Json::obj([
+                ("rule", s(f.rule)),
+                ("file", s(&f.file)),
+                ("line", Json::from(f.line)),
+                ("snippet", s(&f.snippet)),
+                ("message", s(&f.message)),
+            ])
+        });
+        let edges = self.edges.iter().map(|e| {
+            Json::obj([
+                ("held", s(&e.held)),
+                ("acquired", s(&e.acquired)),
+                ("file", s(&e.file)),
+                ("line", Json::from(e.line)),
+                ("snippet", s(&e.snippet)),
+                ("suppressed", Json::Bool(e.suppressed)),
+            ])
+        });
+        let writes = self.writes.iter().map(|w| {
+            Json::obj([
+                ("name", s(&w.name)),
+                ("kind", s(&w.kind)),
+                ("file", s(&w.file)),
+                ("line", Json::from(w.line)),
+                ("snippet", s(&w.snippet)),
+                ("suppressed", Json::Bool(w.suppressed)),
+            ])
+        });
+        Json::obj([
+            ("findings", Json::Arr(findings.collect())),
+            ("edges", Json::Arr(edges.collect())),
+            ("writes", Json::Arr(writes.collect())),
+        ])
     }
 
     /// Parse a cache entry back. Unknown rule ids (a removed rule) fail
@@ -139,14 +125,6 @@ impl FileFacts {
     }
 }
 
-fn comma(i: usize) -> &'static str {
-    if i == 0 {
-        ""
-    } else {
-        ","
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +157,7 @@ mod tests {
                 suppressed: false,
             }],
         };
-        let text = facts.to_json();
+        let text = facts.to_json().render();
         let parsed = FileFacts::from_json(&Json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(parsed.findings, facts.findings);
         assert_eq!(parsed.edges, facts.edges);

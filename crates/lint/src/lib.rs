@@ -175,7 +175,7 @@ pub fn lint_workspace_with(
     for path in &paths {
         let text = std::fs::read_to_string(path)?;
         let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        let hash = cache::fnv1a(text.as_bytes());
+        let hash = hrviz_obs::fingerprint64(&text);
         loaded.push((rel, text, hash));
     }
 

@@ -4,55 +4,57 @@
 //! a physical location. Baselined findings map to SARIF's
 //! `baselineState: "unchanged"` so viewers can fold them.
 
-use crate::baseline::escape;
 use crate::rules::{Finding, RULES};
-use std::fmt::Write as _;
+use hrviz_obs::Json;
 
 /// SARIF schema the output declares.
 const SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 
 /// Render findings as one SARIF 2.1.0 document.
 pub fn render(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"$schema\":\"");
-    out.push_str(SCHEMA);
-    out.push_str("\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{");
-    out.push_str("\"name\":\"hrviz-lint\",\"informationUri\":\"DESIGN.md\",\"rules\":[");
-    for (i, r) in RULES.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}},\
-             \"properties\":{{\"family\":\"{}\"}}}}",
-            if i == 0 { "" } else { "," },
-            escape(r.id),
-            escape(r.desc),
-            escape(r.family),
-        );
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"ruleId\":\"{}\",\"level\":\"error\",\"baselineState\":\"{}\",\
-             \"message\":{{\"text\":\"{}\"}},\"locations\":[{{\"physicalLocation\":{{\
-             \"artifactLocation\":{{\"uri\":\"{}\"}},\"region\":{{\"startLine\":{},\
-             \"snippet\":{{\"text\":\"{}\"}}}}}}}}]}}",
-            if i == 0 { "" } else { "," },
-            escape(f.rule),
-            if f.baselined { "unchanged" } else { "new" },
-            escape(&f.message),
-            escape(&f.file),
-            f.line,
-            escape(&f.snippet),
-        );
-    }
-    out.push_str("]}]}\n");
-    out
+    let s = |v: &str| Json::Str(v.to_string());
+    let text = |v: &str| Json::obj([("text", s(v))]);
+    let rules = RULES.iter().map(|r| {
+        Json::obj([
+            ("id", s(r.id)),
+            ("shortDescription", text(r.desc)),
+            ("properties", Json::obj([("family", s(r.family))])),
+        ])
+    });
+    let results = findings.iter().map(|f| {
+        let region = Json::obj([("startLine", Json::from(f.line)), ("snippet", text(&f.snippet))]);
+        let location = Json::obj([(
+            "physicalLocation",
+            Json::obj([("artifactLocation", Json::obj([("uri", s(&f.file))])), ("region", region)]),
+        )]);
+        Json::obj([
+            ("ruleId", s(f.rule)),
+            ("level", s("error")),
+            ("baselineState", s(if f.baselined { "unchanged" } else { "new" })),
+            ("message", text(&f.message)),
+            ("locations", Json::Arr(vec![location])),
+        ])
+    });
+    let driver = Json::obj([
+        ("name", s("hrviz-lint")),
+        ("informationUri", s("DESIGN.md")),
+        ("rules", Json::Arr(rules.collect())),
+    ]);
+    let run = Json::obj([
+        ("tool", Json::obj([("driver", driver)])),
+        ("results", Json::Arr(results.collect())),
+    ]);
+    let doc = Json::obj([
+        ("$schema", s(SCHEMA)),
+        ("version", s("2.1.0")),
+        ("runs", Json::Arr(vec![run])),
+    ]);
+    doc.render() + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrviz_obs::Json;
 
     #[test]
     fn sarif_is_valid_json_with_rules_and_results() {

@@ -41,7 +41,7 @@ mod span;
 mod trace;
 
 pub use collector::{Collector, Hist, LogLevel, Snapshot, SpanStat};
-pub use json::Json;
+pub use json::{Json, ObjectReader};
 pub use manifest::{fingerprint64, RunManifest};
 pub use metrics::{metric, MetricDef, MetricKind, METRICS};
 pub use prom::{render_prometheus, PROMETHEUS_CONTENT_TYPE};

@@ -5,7 +5,6 @@
 mod common;
 
 use common::{get, start, test_store};
-use hrviz_faults::json::{self, Value};
 use hrviz_obs::Json;
 use hrviz_serve::ServeConfig;
 
@@ -19,13 +18,13 @@ fn expected_body(run: &str, field: &str, table: Option<&str>) -> String {
     let tables: Vec<Json> = text
         .lines()
         .skip(1)
-        .map(|line| json::parse(line).expect("stored line parses"))
-        .filter(|v| v.get("field").and_then(Value::as_str) == Some(field))
-        .filter(|v| table.is_none_or(|t| v.get("table").and_then(Value::as_str) == Some(t)))
+        .map(|line| Json::parse(line).expect("stored line parses"))
+        .filter(|v| v.get("field").and_then(Json::as_str) == Some(field))
+        .filter(|v| table.is_none_or(|t| v.get("table").and_then(Json::as_str) == Some(t)))
         .map(|v| {
-            let values = v.get("values").and_then(Value::as_arr).expect("values array");
+            let values = v.get("values").and_then(Json::as_array).expect("values array");
             Json::obj([
-                ("table", Json::Str(v.get("table").and_then(Value::as_str).unwrap().into())),
+                ("table", Json::Str(v.get("table").and_then(Json::as_str).unwrap().into())),
                 (
                     "values",
                     Json::Arr(values.iter().map(|x| Json::F64(x.as_f64().unwrap())).collect()),

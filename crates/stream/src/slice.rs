@@ -4,8 +4,8 @@
 //! downstream equality checks (incremental vs batch aggregates, streamed
 //! vs straight-through stores) compare bytes, not parsed values.
 
-use hrviz_faults::json::{self, Value};
 use hrviz_faults::HrvizError;
+use hrviz_obs::Json;
 
 /// Latency histogram buckets per slice: bucket 0 counts sub-microsecond
 /// per-terminal window-mean latencies, bucket *i* ≥ 1 counts means in
@@ -75,16 +75,16 @@ impl Slice {
 
     /// Parse one slice line.
     pub fn from_json(text: &str) -> Result<Slice, HrvizError> {
-        let v = json::parse(text).map_err(|e| HrvizError::parse("slice", e))?;
+        let v = Json::parse(text).map_err(|e| HrvizError::parse("slice", e))?;
         let field = |k: &str| {
             v.get(k)
-                .and_then(Value::as_u64)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| HrvizError::parse("slice", format!("missing field `{k}`")))
         };
         let mut latency_hist = [0u64; LATENCY_BINS];
         let hist = v
             .get("latency_hist")
-            .and_then(Value::as_arr)
+            .and_then(Json::as_array)
             .ok_or_else(|| HrvizError::parse("slice", "missing field `latency_hist`"))?;
         if hist.len() != LATENCY_BINS {
             return Err(HrvizError::parse(
@@ -134,29 +134,28 @@ pub struct Progress {
 impl Progress {
     /// Canonical single-line JSON.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"run\":\"{}\",\"state\":\"{}\",\"sealed\":{},\"virtual_ns\":{},\
-             \"window_ns\":{}}}",
-            json::escape(&self.run),
-            json::escape(&self.state),
-            self.sealed,
-            self.virtual_ns,
-            self.window_ns,
-        )
+        Json::obj([
+            ("run", Json::Str(self.run.clone())),
+            ("state", Json::Str(self.state.clone())),
+            ("sealed", Json::U64(self.sealed)),
+            ("virtual_ns", Json::U64(self.virtual_ns)),
+            ("window_ns", Json::U64(self.window_ns)),
+        ])
+        .render()
     }
 
     /// Parse a `progress.json` document.
     pub fn from_json(text: &str) -> Result<Progress, HrvizError> {
-        let v = json::parse(text).map_err(|e| HrvizError::parse("progress", e))?;
+        let v = Json::parse(text).map_err(|e| HrvizError::parse("progress", e))?;
         let s = |k: &str| {
             v.get(k)
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| HrvizError::parse("progress", format!("missing field `{k}`")))
         };
         let n = |k: &str| {
             v.get(k)
-                .and_then(Value::as_u64)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| HrvizError::parse("progress", format!("missing field `{k}`")))
         };
         Ok(Progress {

@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use hrviz_faults::json::{self, Value};
 use hrviz_faults::HrvizError;
 use hrviz_obs::Json;
 
@@ -143,46 +142,46 @@ impl SweepJournal {
 
     /// Inverse of [`SweepJournal::to_json`].
     pub fn parse(text: &str) -> Result<SweepJournal, String> {
-        let v = json::parse(text)?;
+        let v = Json::parse(text)?;
         let s = |key: &str| -> Result<String, String> {
             v.get(key)
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("journal missing string field {key:?}"))
         };
         let mut journal = SweepJournal::new(s("sweep_id")?, s("name")?);
         // Absent in journals written before the fields existed: no intent.
         journal.pending_generation =
-            v.get("pending_generation").and_then(Value::as_u64).unwrap_or(0);
-        if let Some(shards) = v.get("pending_shards").and_then(Value::as_arr) {
+            v.get("pending_generation").and_then(Json::as_u64).unwrap_or(0);
+        if let Some(shards) = v.get("pending_shards").and_then(Json::as_array) {
             for intent in shards {
                 let shard = intent
                     .get("shard")
-                    .and_then(Value::as_u64)
+                    .and_then(Json::as_u64)
                     .ok_or("pending_shards entry missing shard")?;
                 let generation = intent
                     .get("generation")
-                    .and_then(Value::as_u64)
+                    .and_then(Json::as_u64)
                     .ok_or("pending_shards entry missing generation")?;
                 let shard =
                     u32::try_from(shard).map_err(|_| format!("shard index {shard} too large"))?;
                 journal.pending_shards.insert(shard, generation);
             }
         }
-        let runs = v.get("runs").and_then(Value::as_arr).ok_or("journal missing runs array")?;
+        let runs = v.get("runs").and_then(Json::as_array).ok_or("journal missing runs array")?;
         for entry in runs {
             let run = entry
                 .get("run")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or("journal entry missing run")?
                 .to_string();
             let state_name =
-                entry.get("state").and_then(Value::as_str).ok_or("journal entry missing state")?;
+                entry.get("state").and_then(Json::as_str).ok_or("journal entry missing state")?;
             let state = RunState::parse(state_name)
                 .ok_or_else(|| format!("unknown journal state {state_name:?}"))?;
             let attempts = entry
                 .get("attempts")
-                .and_then(Value::as_u64)
+                .and_then(Json::as_u64)
                 .ok_or("journal entry missing attempts")?;
             journal.entries.insert(run, JournalEntry { state, attempts });
         }
