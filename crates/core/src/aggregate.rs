@@ -57,7 +57,7 @@ impl AggregateItem {
 
 /// Group rows of `kind` by `fields` (all attributes); returns items sorted
 /// by key. Empty `fields` yields one item per row (individual entities).
-pub fn group_rows(ds: &DataSet, kind: EntityKind, fields: &[Field]) -> Vec<AggregateItem> {
+pub(crate) fn group_rows(ds: &DataSet, kind: EntityKind, fields: &[Field]) -> Vec<AggregateItem> {
     for f in fields {
         assert!(f.is_attribute(), "cannot group by metric field {f}");
         assert!(DataSet::has_field(kind, *f), "{kind} rows have no field {f}");
@@ -71,15 +71,10 @@ pub fn group_rows(ds: &DataSet, kind: EntityKind, fields: &[Field]) -> Vec<Aggre
 }
 
 /// Group rows `0..n` by their values in the `u32` key columns `keys`:
-/// sort the row indices lexicographically over the columns (ties broken
-/// by row), then merge runs of equal keys.
+/// order the rows with [`radix_order`], then merge runs of equal keys.
 fn group_keys(keys: &[&[u32]], n: usize) -> Vec<AggregateItem> {
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by(|&a, &b| {
-        keys.iter().map(|col| col[a].cmp(&col[b])).find(|o| o.is_ne()).unwrap_or(a.cmp(&b))
-    });
     let mut items: Vec<AggregateItem> = Vec::new();
-    for row in order {
+    for row in radix_order(keys, n) {
         match items.last_mut() {
             Some(last) if keys.iter().all(|col| col[row] == col[last.rows[0]]) => {
                 last.rows.push(row)
@@ -93,10 +88,51 @@ fn group_keys(keys: &[&[u32]], n: usize) -> Vec<AggregateItem> {
     items
 }
 
+/// The rows `0..n` sorted lexicographically over the `u32` key columns
+/// `keys`, ties in ascending row order. A stable LSD radix sort: one
+/// counting pass per 8-bit digit, low digit first, last column first.
+/// Two kinds of pass would move nothing and are skipped: a pass over a
+/// digit equal in every row (so a small key such as `group_id` costs one
+/// pass), and every pass when the rows are already in key order, as a
+/// stored table is for its leading fields (terminals by router, links by
+/// source). The counts are 256 per pass whatever the key values,
+/// `u32::MAX` included.
+pub(crate) fn radix_order(keys: &[&[u32]], n: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let in_order = (1..n).all(|r| {
+        keys.iter().map(|col| col[r - 1].cmp(&col[r])).find(|o| o.is_ne()).is_none_or(|o| o.is_lt())
+    });
+    if in_order {
+        return order;
+    }
+    let mut next = vec![0; n];
+    for col in keys.iter().rev() {
+        let col = &col[..n];
+        let varying = col.iter().fold(0, |bits, &v| bits | (v ^ col[0]));
+        for shift in [0, 8, 16, 24].into_iter().filter(|s| (varying >> s) & 0xff != 0) {
+            let mut counts = [0usize; 256];
+            for &v in col {
+                counts[(v >> shift) as usize & 0xff] += 1;
+            }
+            let mut start = 0;
+            for slot in counts.iter_mut() {
+                (*slot, start) = (start, start + *slot);
+            }
+            for &row in &order {
+                let slot = &mut counts[(col[row] >> shift) as usize & 0xff];
+                next[*slot] = row;
+                *slot += 1;
+            }
+            std::mem::swap(&mut order, &mut next);
+        }
+    }
+    order
+}
+
 /// Binned aggregation: merge `items` into at most `max_bins` equal-width
 /// histogram bins over their aggregated `by` metric. Item keys become the
 /// bin index. No-op when already within the limit.
-pub fn bin_items(
+pub(crate) fn bin_items(
     ds: &DataSet,
     kind: EntityKind,
     items: Vec<AggregateItem>,
@@ -207,7 +243,7 @@ pub struct DataKey {
     pub generation: u64,
 }
 
-/// Memoizes [`group_rows`]/[`bin_items`] outputs and whole
+/// Memoizes `group_rows`/`bin_items` outputs and whole
 /// [`AggregateTree`]s per `(DataKey, operation)` key, so projection,
 /// timeline and compare views over a sweep reuse aggregates instead of
 /// re-scanning rows. Hit/miss totals are reported through `hrviz-obs`
@@ -252,7 +288,7 @@ impl AggregateCache {
         }
     }
 
-    /// Memoized [`group_rows`]. The caller must pass the dataset `key`
+    /// Memoized `group_rows`. The caller must pass the dataset `key`
     /// identifies — the cache trusts the key, that is the whole point.
     pub fn group_rows(
         &self,
@@ -401,7 +437,7 @@ impl AggregateCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dataset::TerminalRow;
 
@@ -647,11 +683,11 @@ mod tests {
         group_keyed_rows(keyed)
     }
 
-    /// SplitMix64, for generated tables.
-    struct Gen(u64);
+    /// SplitMix64, for generated tables (projection's tests use it too).
+    pub(crate) struct Gen(pub(crate) u64);
 
     impl Gen {
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -668,35 +704,80 @@ mod tests {
             .collect()
     }
 
+    /// One generated key column of `n` rows. Its shape is drawn too:
+    /// constant, a small spread, values that straddle the digit
+    /// boundaries up to `u32::MAX`, or the whole `u32` range.
+    fn key_column(g: &mut Gen, n: usize) -> Vec<u32> {
+        const EDGES: [u32; 10] =
+            [0, 1, 255, 256, 65_535, 65_536, 1 << 24, (1 << 24) + 1, u32::MAX - 1, u32::MAX];
+        let constant = g.below(1 << 32) as u32;
+        let spread = 1 + g.below(6);
+        let shape = g.below(4);
+        (0..n)
+            .map(|_| match shape {
+                0 => constant,
+                1 => g.below(spread) as u32,
+                2 => EDGES[g.below(EDGES.len() as u64) as usize],
+                _ => g.below(1 << 32) as u32,
+            })
+            .collect()
+    }
+
+    /// Case `case` of the generated-table check: a terminal table of 0, 1,
+    /// up to 200 or (one case in eight) up to 5,000 rows, grouped by 1–3
+    /// random key fields and by none, against the per-row oracle.
+    fn check_generated_grouping(g: &mut Gen, case: usize) {
+        let n = match case {
+            0 => 0,
+            1 => 1,
+            _ if case % 8 == 7 => g.below(5_001) as usize,
+            _ => g.below(200) as usize,
+        };
+        let cols: Vec<Vec<u32>> = (0..6).map(|_| key_column(g, n)).collect();
+        let terminals = (0..n)
+            .map(|i| TerminalRow {
+                terminal: cols[0][i],
+                router: cols[1][i],
+                group: cols[2][i],
+                rank: cols[3][i],
+                port: cols[4][i],
+                job: cols[5][i],
+                ..TerminalRow::default()
+            })
+            .collect();
+        let d = DataSet::from_tables(vec![], vec![], vec![], vec![], terminals);
+        const KEYS: [Field; 6] = [
+            Field::TerminalId,
+            Field::RouterId,
+            Field::GroupId,
+            Field::RouterRank,
+            Field::RouterPort,
+            Field::Workload,
+        ];
+        let width = 1 + g.below(3) as usize;
+        let fields: Vec<Field> = (0..width).map(|_| KEYS[g.below(6) as usize]).collect();
+        for fields in [&fields[..], &[]] {
+            let new = group_rows(&d, EntityKind::Terminal, fields);
+            let old = oracle_group_rows(&d, EntityKind::Terminal, fields);
+            assert_eq!(bits(&new), bits(&old), "case {case}, n {n}, fields {fields:?}");
+        }
+    }
+
     #[test]
     fn column_grouping_matches_the_per_row_oracle_on_generated_tables() {
         let mut g = Gen(17);
-        for case in 0..40 {
-            let n = g.below(200) as usize;
-            let spread = 1 + g.below(6) as u32;
-            let mut pick = || g.below(u64::from(spread)) as u32;
-            let terminals = (0..n)
-                .map(|i| TerminalRow {
-                    terminal: i as u32,
-                    router: pick(),
-                    group: pick(),
-                    rank: pick(),
-                    port: pick(),
-                    job: pick(),
-                    ..TerminalRow::default()
-                })
-                .collect();
-            let d = DataSet::from_tables(vec![], vec![], vec![], vec![], terminals);
-            for fields in [
-                &[Field::GroupId][..],
-                &[Field::GroupId, Field::RouterRank],
-                &[Field::RouterPort, Field::Workload, Field::RouterId],
-                &[],
-            ] {
-                let new = group_rows(&d, EntityKind::Terminal, fields);
-                let old = oracle_group_rows(&d, EntityKind::Terminal, fields);
-                assert_eq!(new, old, "case {case}, fields {fields:?}");
-            }
+        for case in 0..64 {
+            check_generated_grouping(&mut g, case);
+        }
+    }
+
+    /// `cargo test --release -p hrviz-core --lib -- --ignored`
+    #[test]
+    #[ignore = "soak: 20,000 generated tables"]
+    fn column_grouping_soak() {
+        let mut g = Gen(0x5eed);
+        for case in 0..20_000 {
+            check_generated_grouping(&mut g, case);
         }
     }
 

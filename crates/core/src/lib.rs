@@ -58,9 +58,7 @@ pub mod script;
 pub mod spec;
 pub mod timeline;
 
-pub use aggregate::{
-    bin_items, group_rows, AggregateCache, AggregateItem, AggregateTree, DataKey, TreeLevel,
-};
+pub use aggregate::{AggregateCache, AggregateItem, AggregateTree, DataKey, TreeLevel};
 pub use color::{Color, ColorScale};
 pub use columnar::{schema_of, Column, ColumnTable, StoredColumns};
 pub use compare::{compare_views, compare_views_cached};

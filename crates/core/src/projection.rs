@@ -6,7 +6,9 @@
 //! view model is geometry-free (angular spans in turns, values in `[0,1]`);
 //! `hrviz-render` turns it into SVG.
 
-use crate::aggregate::{group_rows, histogram, AggregateCache, AggregateItem, DataKey};
+use crate::aggregate::{
+    group_rows, histogram, radix_order, AggregateCache, AggregateItem, DataKey,
+};
 use crate::color::{Color, ColorScale};
 use crate::columnar::Column;
 use crate::dataset::DataSet;
@@ -224,7 +226,7 @@ fn prepare(ds: &DataSet, spec: &ProjectionSpec, cache: Cache) -> Result<Prepared
     let ring0 = &levels[0].items;
     let arc_weights = spec.arc_weight.map(|w| metrics(ds, spec.levels[0].entity, w, ring0));
     let ribbons = match (&spec.ribbons, &ring0_keys) {
-        (Some(rs), Some(keys)) => Some(bundle_links(ds, spec, rs, keys)),
+        (Some(rs), Some(keys)) => Some(bundle_links(ds, spec, rs, keys, cache)),
         _ => None,
     };
     Ok(Prepared { levels, arc_weights, ribbons })
@@ -245,10 +247,7 @@ fn level_items(
 ) -> (Arc<Vec<AggregateItem>>, Option<KeyMap>) {
     // Group the whole table, then strip filtered rows: the grouping (the
     // sort) is the expensive part, so that is what the cache memoizes.
-    let grouped = match cache {
-        Some((c, key)) => c.group_rows(key, ds, lv.entity, &lv.aggregate),
-        None => Arc::new(group_rows(ds, lv.entity, &lv.aggregate)),
-    };
+    let grouped = grouped(ds, lv.entity, &lv.aggregate, cache);
     let items = if lv.filter.is_empty() {
         grouped
     } else {
@@ -281,6 +280,19 @@ fn level_items(
             let keys = with_keys.then(|| key_map(&items, 0..items.len()));
             (items, keys)
         }
+    }
+}
+
+/// The rows of `kind` grouped by `fields`, through the cache when present.
+fn grouped(
+    ds: &DataSet,
+    kind: EntityKind,
+    fields: &[Field],
+    cache: Cache,
+) -> Arc<Vec<AggregateItem>> {
+    match cache {
+        Some((c, key)) => c.group_rows(key, ds, kind, fields),
+        None => Arc::new(group_rows(ds, kind, fields)),
     }
 }
 
@@ -343,17 +355,34 @@ struct RawRibbon {
     raw_color: f64,
 }
 
+/// Bundle the ribbon table's links into ribbons between ring-0 items.
+///
+/// Each row's item at either end is found once per distinct key: the
+/// table is grouped by the ring-0 fields and by their `dst_counterpart`s,
+/// and each group's key is looked up in `ring0`. The rows that pass the
+/// ring-0 filters at both ends, and whose ends are known and differ, are
+/// radix-sorted by their (lower, higher) item pair, stably, so each
+/// direction of a pair sums its rows in ascending row order from 0.0.
+/// Folding the two directions (size `0.0 + s(a,b) + s(b,a)`, color the
+/// max of the two, §IV-B1) gives ribbons in pair order.
 fn bundle_links(
     ds: &DataSet,
     spec: &ProjectionSpec,
     rs: &RibbonSpec,
     ring0: &KeyMap,
+    cache: Cache,
 ) -> Vec<RawRibbon> {
     let ring0_spec = &spec.levels[0];
+    // With no ring-0 key a link end names no item, and with no metric a
+    // ribbon has nothing to draw.
+    if ring0_spec.aggregate.is_empty() || (rs.size.is_none() && rs.color.is_none()) {
+        return Vec::new();
+    }
+    let dst_fields: Vec<Field> =
+        ring0_spec.aggregate.iter().map(|f| f.dst_counterpart().expect("validated")).collect();
+    let src = row_ends(ds, rs.entity, &ring0_spec.aggregate, ring0, cache);
+    let dst = row_ends(ds, rs.entity, &dst_fields, ring0, cache);
     let col = |f: Field| ds.column(rs.entity, f);
-    let src_cols: Vec<Column> = ring0_spec.aggregate.iter().map(|&f| col(f)).collect();
-    let dst_cols: Vec<Column> =
-        ring0_spec.aggregate.iter().map(|f| col(f.dst_counterpart().expect("validated"))).collect();
     // Ring-0 filters apply to both endpoints so filtered views bundle
     // only the visible sub-network.
     let filters: Vec<(&FilterClause, Column, Option<Column>)> = ring0_spec
@@ -361,52 +390,68 @@ fn bundle_links(
         .iter()
         .map(|c| (c, col(c.field), c.field.dst_counterpart().map(col)))
         .collect();
-    let size = rs.size.map(col);
-    let color = rs.color.map(col);
-    // Directed totals between item pairs.
-    let mut size_dir: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut color_dir: HashMap<(usize, usize), f64> = HashMap::new();
-    let (mut src_key, mut dst_key) = (Vec::new(), Vec::new());
-    for row in 0..ds.len(rs.entity) {
-        let ok = filters.iter().all(|(c, src, dst)| {
-            c.accepts(src.get(row)) && dst.is_none_or(|d| c.accepts(d.get(row)))
-        });
-        if !ok {
-            continue;
-        }
-        src_key.clear();
-        src_key.extend(src_cols.iter().map(|c| c.get(row).to_bits()));
-        dst_key.clear();
-        dst_key.extend(dst_cols.iter().map(|c| c.get(row).to_bits()));
-        let (Some(&a), Some(&b)) = (ring0.get(src_key.as_slice()), ring0.get(dst_key.as_slice()))
-        else {
-            continue;
-        };
+    // The bundled rows, ascending, with their ends and (lower, higher) pair.
+    let (mut rows, mut from, mut lo, mut hi) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for (row, (&a, &b)) in src.iter().zip(&dst).enumerate() {
+        let (Some(a), Some(b)) = (a, b) else { continue };
         if a == b {
             continue; // intra-partition links are not drawn as ribbons
         }
-        if let Some(c) = size {
-            *size_dir.entry((a, b)).or_default() += c.get(row);
+        let ok = filters.iter().all(|(c, src, dst)| {
+            c.accepts(src.get(row)) && dst.is_none_or(|d| c.accepts(d.get(row)))
+        });
+        if ok {
+            rows.push(row);
+            from.push(a);
+            lo.push(a.min(b));
+            hi.push(a.max(b));
         }
-        if let Some(c) = color {
-            *color_dir.entry((a, b)).or_default() += c.get(row);
-        }
     }
-    // Fold directions: size = sum, color = max of the two ends (§IV-B1).
-    let mut pairs: BTreeMap<(usize, usize), (f64, f64)> = BTreeMap::new();
-    for (&(a, b), &s) in &size_dir {
-        let k = (a.min(b), a.max(b));
-        pairs.entry(k).or_insert((0.0, 0.0)).0 += s;
-    }
-    for (&(a, b), &c) in &color_dir {
-        let k = (a.min(b), a.max(b));
-        let e = pairs.entry(k).or_insert((0.0, 0.0));
-        e.1 = e.1.max(c);
-    }
-    pairs
-        .into_iter()
-        .map(|((a, b), (raw_size, raw_color))| RawRibbon { a, b, raw_size, raw_color })
+    let size = rs.size.map(col);
+    let color = rs.color.map(col);
+    let value = |c: Option<Column>, row: usize| c.map_or(0.0, |c| c.get(row));
+    radix_order(&[&lo, &hi], rows.len())
+        .chunk_by(|&i, &j| (lo[i], hi[i]) == (lo[j], hi[j]))
+        .map(|pair| {
+            let (a, b) = (lo[pair[0]], hi[pair[0]]);
+            // Directed totals `[a → b, b → a]`, each summed over its rows
+            // in row order; a direction with no rows stays 0.0, which
+            // leaves the fold's value unchanged.
+            let (mut sizes, mut colors) = ([0.0; 2], [0.0; 2]);
+            for &i in pair {
+                let dir = usize::from(from[i] != a);
+                sizes[dir] += value(size, rows[i]);
+                colors[dir] += value(color, rows[i]);
+            }
+            RawRibbon {
+                a: a as usize,
+                b: b as usize,
+                raw_size: 0.0 + sizes[0] + sizes[1],
+                raw_color: 0.0f64.max(colors[0]).max(colors[1]),
+            }
+        })
         .collect()
+}
+
+/// Each row of `kind`'s table mapped to the ring-0 item its `fields`
+/// key lands in: the table grouped by `fields`, each group's key looked
+/// up in `ring0` once.
+fn row_ends(
+    ds: &DataSet,
+    kind: EntityKind,
+    fields: &[Field],
+    ring0: &KeyMap,
+    cache: Cache,
+) -> Vec<Option<u32>> {
+    let mut ends = vec![None; ds.len(kind)];
+    for group in grouped(ds, kind, fields, cache).iter() {
+        let Some(&item) = ring0.get(&key_bits(&group.key)) else { continue };
+        let item = u32::try_from(item).expect("a ring-0 item index fits a u32 key column");
+        for &row in &group.rows {
+            ends[row] = Some(item);
+        }
+    }
+    ends
 }
 
 fn resolve_color(lv: &LevelSpec, field: Option<Field>, raw: f64, norm: f64, ds: &DataSet) -> Color {
@@ -607,6 +652,7 @@ fn resolve(ds: &DataSet, spec: &ProjectionSpec, p: &Prepared, scales: &ScaleSet)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::tests::Gen;
     use crate::dataset::{LinkRow, TerminalRow};
     use crate::spec::LevelSpec;
 
@@ -851,5 +897,189 @@ mod tests {
         let view = build_view(&d, &group_spec()).unwrap();
         assert!(view.rings[0].items.is_empty());
         assert!(view.ribbons.is_empty());
+    }
+
+    /// `bundle_links` before ribbon ends were found per key: a `KeyMap`
+    /// lookup per row end and hashed directed totals. Kept as the oracle
+    /// for [`bundle_links`].
+    fn oracle_bundle_links(
+        ds: &DataSet,
+        spec: &ProjectionSpec,
+        rs: &RibbonSpec,
+        ring0: &KeyMap,
+    ) -> Vec<RawRibbon> {
+        let ring0_spec = &spec.levels[0];
+        let col = |f: Field| ds.column(rs.entity, f);
+        let src_cols: Vec<Column> = ring0_spec.aggregate.iter().map(|&f| col(f)).collect();
+        let dst_cols: Vec<Column> = ring0_spec
+            .aggregate
+            .iter()
+            .map(|f| col(f.dst_counterpart().expect("validated")))
+            .collect();
+        // Ring-0 filters apply to both endpoints so filtered views bundle
+        // only the visible sub-network.
+        let filters: Vec<(&FilterClause, Column, Option<Column>)> = ring0_spec
+            .filter
+            .iter()
+            .map(|c| (c, col(c.field), c.field.dst_counterpart().map(col)))
+            .collect();
+        let size = rs.size.map(col);
+        let color = rs.color.map(col);
+        // Directed totals between item pairs.
+        let mut size_dir: HashMap<(usize, usize), f64> = HashMap::new();
+        let mut color_dir: HashMap<(usize, usize), f64> = HashMap::new();
+        let (mut src_key, mut dst_key) = (Vec::new(), Vec::new());
+        for row in 0..ds.len(rs.entity) {
+            let ok = filters.iter().all(|(c, src, dst)| {
+                c.accepts(src.get(row)) && dst.is_none_or(|d| c.accepts(d.get(row)))
+            });
+            if !ok {
+                continue;
+            }
+            src_key.clear();
+            src_key.extend(src_cols.iter().map(|c| c.get(row).to_bits()));
+            dst_key.clear();
+            dst_key.extend(dst_cols.iter().map(|c| c.get(row).to_bits()));
+            let (Some(&a), Some(&b)) =
+                (ring0.get(src_key.as_slice()), ring0.get(dst_key.as_slice()))
+            else {
+                continue;
+            };
+            if a == b {
+                continue; // intra-partition links are not drawn as ribbons
+            }
+            if let Some(c) = size {
+                *size_dir.entry((a, b)).or_default() += c.get(row);
+            }
+            if let Some(c) = color {
+                *color_dir.entry((a, b)).or_default() += c.get(row);
+            }
+        }
+        // Fold directions: size = sum, color = max of the two ends (§IV-B1).
+        let mut pairs: BTreeMap<(usize, usize), (f64, f64)> = BTreeMap::new();
+        for (&(a, b), &s) in &size_dir {
+            let k = (a.min(b), a.max(b));
+            pairs.entry(k).or_insert((0.0, 0.0)).0 += s;
+        }
+        for (&(a, b), &c) in &color_dir {
+            let k = (a.min(b), a.max(b));
+            let e = pairs.entry(k).or_insert((0.0, 0.0));
+            e.1 = e.1.max(c);
+        }
+        pairs
+            .into_iter()
+            .map(|((a, b), (raw_size, raw_color))| RawRibbon { a, b, raw_size, raw_color })
+            .collect()
+    }
+
+    /// A metric cell: mostly small values, sometimes −0.0 or NaN.
+    fn metric(g: &mut Gen) -> f64 {
+        match g.below(10) {
+            0 => -0.0,
+            1 => f64::NAN,
+            _ => g.below(1_000) as f64 * 0.25,
+        }
+    }
+
+    /// Case `case` of the ribbon check: a generated dataset and a ribbon
+    /// spec over it, bundled by the oracle and by [`bundle_links`] (every
+    /// other case through an aggregate cache), compared bit for bit.
+    fn check_generated_ribbons(g: &mut Gen, case: u64) {
+        // Attribute values run a little past the terminals' so some link
+        // ends name no ring-0 item.
+        let (groups, ranks) = (1 + g.below(5) as u32, 1 + g.below(4) as u32);
+        let terminals: Vec<TerminalRow> = (0..g.below(120) as u32)
+            .map(|i| TerminalRow {
+                terminal: i,
+                router: g.below(u64::from(groups * ranks)) as u32,
+                group: g.below(u64::from(groups)) as u32,
+                rank: g.below(u64::from(ranks)) as u32,
+                port: g.below(3) as u32,
+                job: g.below(3) as u32,
+                data_size: metric(g),
+                sat: metric(g),
+                ..TerminalRow::default()
+            })
+            .collect();
+        let link = |g: &mut Gen| LinkRow {
+            src_router: g.below(u64::from(groups * ranks) + 1) as u32,
+            src_group: g.below(u64::from(groups) + 1) as u32,
+            src_rank: g.below(u64::from(ranks) + 1) as u32,
+            src_port: g.below(4) as u32,
+            src_job: g.below(4) as u32,
+            dst_router: g.below(u64::from(groups * ranks) + 1) as u32,
+            dst_group: g.below(u64::from(groups) + 1) as u32,
+            dst_rank: g.below(u64::from(ranks) + 1) as u32,
+            dst_port: g.below(4) as u32,
+            dst_job: g.below(4) as u32,
+            traffic: metric(g),
+            sat: metric(g),
+        };
+        let locals: Vec<LinkRow> = (0..g.below(400)).map(|_| link(g)).collect();
+        let globals: Vec<LinkRow> = (0..g.below(400)).map(|_| link(g)).collect();
+        let d = DataSet::from_tables(vec![], vec![], locals, globals, terminals);
+
+        const KEYS: [&[Field]; 6] = [
+            &[Field::GroupId],
+            &[Field::RouterId],
+            &[Field::Workload],
+            &[Field::GroupId, Field::RouterRank],
+            &[Field::RouterRank, Field::RouterPort],
+            &[],
+        ];
+        let mut lv = LevelSpec::new(EntityKind::Terminal)
+            .aggregate(KEYS[g.below(KEYS.len() as u64) as usize])
+            .color(Field::SatTime)
+            .size(Field::DataSize);
+        match g.below(4) {
+            0 => lv = lv.filter(Field::GroupId, 1.0, g.below(4) as f64),
+            1 => lv = lv.filter(Field::Traffic, 10.0, 200.0),
+            _ => {}
+        }
+        if g.below(2) == 0 {
+            lv = lv.max_bins(1 + g.below(5) as usize);
+        }
+        let entity = [EntityKind::LocalLink, EntityKind::GlobalLink][g.below(2) as usize];
+        let mut rs = crate::spec::RibbonSpec::new(entity);
+        (rs.size, rs.color) = match g.below(4) {
+            0 => (Some(Field::Traffic), None),
+            1 => (None, Some(Field::SatTime)),
+            2 => (None, None),
+            _ => (Some(Field::Traffic), Some(Field::SatTime)),
+        };
+        let spec = ProjectionSpec::new(vec![lv]).ribbons(rs.clone());
+        spec.validate().expect("generated specs are valid");
+
+        let (_, keys) = level_items(&d, &spec.levels[0], None, true);
+        let keys = keys.expect("ring 0 of a ribbon view maps its keys");
+        let cache = AggregateCache::new();
+        let cached = (case % 2 == 1).then_some((&cache, DataKey { run: case, generation: 1 }));
+        let bits = |ribbons: Vec<RawRibbon>| -> Vec<(usize, usize, u64, u64)> {
+            ribbons
+                .iter()
+                .map(|r| (r.a, r.b, r.raw_size.to_bits(), r.raw_color.to_bits()))
+                .collect()
+        };
+        let old = bits(oracle_bundle_links(&d, &spec, &rs, &keys));
+        let new = bits(bundle_links(&d, &spec, &rs, &keys, cached));
+        assert_eq!(new, old, "case {case}: {spec:?}");
+    }
+
+    #[test]
+    fn ribbons_match_the_per_row_oracle_on_generated_datasets() {
+        let mut g = Gen(33);
+        for case in 0..300 {
+            check_generated_ribbons(&mut g, case);
+        }
+    }
+
+    /// `cargo test --release -p hrviz-core --lib -- --ignored`
+    #[test]
+    #[ignore = "soak: 20,000 generated datasets"]
+    fn ribbon_soak() {
+        let mut g = Gen(0x5eed);
+        for case in 0..20_000 {
+            check_generated_ribbons(&mut g, case);
+        }
     }
 }
