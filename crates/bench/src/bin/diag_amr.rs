@@ -23,7 +23,7 @@ fn amr_alone(policy: PlacementPolicy) -> f64 {
         AppConfig::new(AppKind::AmrBoxlib).with_scale(data_scale()).with_duration(app_duration());
     let id = sim.add_job(jobs[0].clone());
     sim.inject_all(generate_app(id, &jobs[0], &cfg));
-    let run = sim.run();
+    let run = sim.try_run().expect("simulation completes");
     mean_latency_ns(&run) / 1e3
 }
 

@@ -32,7 +32,7 @@ fn run(routing: UpRouting) -> FatTreeRun {
             });
         }
     }
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 fn main() {

@@ -35,7 +35,7 @@ fn burst(routing: RoutingAlgorithm) -> RunData {
             job: 0,
         });
     }
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 fn main() {

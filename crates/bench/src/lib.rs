@@ -182,7 +182,7 @@ pub fn run_app(
     let cfg = AppConfig::new(kind).with_scale(data_scale()).with_duration(app_duration());
     let job_id = sim.add_job(jobs[0].clone());
     sim.inject_all(generate_app(job_id, &jobs[0], &cfg));
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 /// Run a synthetic pattern over the whole machine.
@@ -200,7 +200,7 @@ pub fn run_synthetic(
     let meta = JobMeta { name: pattern.pattern.name().into(), terminals: all };
     let job = sim.add_job(meta.clone());
     sim.inject_all(generate_synthetic(job, &meta, &pattern));
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 /// The three-job interference workload of §V-D: AMG + AMR Boxlib + MiniFE
@@ -231,7 +231,7 @@ pub fn run_three_jobs(
         let id = sim.add_job(job_meta.clone());
         sim.inject_all(generate_app(id, job_meta, &cfg));
     }
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 /// The paper's Fig. 7/8/10 projection configuration: local-link ribbons in

@@ -27,7 +27,7 @@ fn per_event_cost() -> f64 {
         }
     }
     let t0 = Instant::now();
-    let run = sim.run();
+    let run = sim.try_run().expect("simulation completes");
     let wall = t0.elapsed().as_secs_f64();
     assert!(run.events_processed > 1_000, "workload too small to time");
     wall / run.events_processed as f64

@@ -765,6 +765,20 @@ fn dispatch(cli: &Cli) -> Result<RunOutput, HrvizError> {
             let msgs = load_trace(std::path::Path::new(input))
                 .map_err(|e| HrvizError::parse(input.clone(), e.to_string()))?;
             let cfg = terminals_of(cli)?;
+            // The trace is outside input: a terminal past the network is a
+            // parse error, not an injection panic.
+            let n = cfg.num_terminals();
+            if let Some((i, m)) = msgs.iter().enumerate().find(|(_, m)| m.src.0.max(m.dst.0) >= n) {
+                return Err(HrvizError::parse(
+                    input.clone(),
+                    format!(
+                        "message {} ({} -> {}) names a terminal outside the {n}-terminal network",
+                        i + 1,
+                        m.src.0,
+                        m.dst.0
+                    ),
+                ));
+            }
             let routing =
                 routing_of(cli.options.get("routing").map(String::as_str).unwrap_or("adaptive"))?;
             let mut sim = faulted_sim(cli, NetworkSpec::new(cfg).with_routing(routing))?
@@ -1274,6 +1288,28 @@ mod tests {
         assert_eq!(out.metric_value("delivered_bytes"), Some(8192.0));
         std::fs::remove_file(&trace).ok();
         std::fs::remove_file(&svg).ok();
+    }
+
+    #[test]
+    fn trace_rejects_rows_outside_the_network_or_their_field() {
+        let dir = std::env::temp_dir().join("hrviz_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, row, needle) in [
+            ("far.csv", "0,0,99999,8192,0", "message 2 (0 -> 99999)"),
+            ("wide.csv", "0,4294967296,1,8192,0", "trace line 3: bad src"),
+            ("job.csv", "0,0,1,8192,65536", "trace line 3: bad job"),
+        ] {
+            let trace = dir.join(name);
+            std::fs::write(&trace, format!("time_ns,src,dst,bytes,job\n0,0,1,64,0\n{row}\n"))
+                .unwrap();
+            let cli =
+                parse_args(&args(&["trace", "--in", trace.to_str().unwrap(), "--terminals", "72"]))
+                    .unwrap();
+            let e = run(&cli).expect_err(row);
+            assert_eq!(e.exit_code(), 5, "{row}: {e}");
+            assert!(e.to_string().contains(needle), "{row}: {e}");
+            std::fs::remove_file(&trace).ok();
+        }
     }
 
     #[test]

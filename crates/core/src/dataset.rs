@@ -206,7 +206,7 @@ type BrushPredicate<'a> = Box<dyn Fn(&TerminalRow) -> bool + 'a>;
 /// ```
 /// # use hrviz_core::DataSet;
 /// # use hrviz_network::{DragonflyConfig, NetworkSpec, Simulation};
-/// # let run = Simulation::new(NetworkSpec::new(DragonflyConfig::canonical(2))).run();
+/// # let run = Simulation::new(NetworkSpec::new(DragonflyConfig::canonical(2))).try_run().expect("run");
 /// let ds = DataSet::builder(&run).drop_idle().build();
 /// ```
 pub struct DataSetBuilder<'a> {
@@ -637,7 +637,7 @@ mod tests {
                 job,
             });
         }
-        sim.run()
+        sim.try_run().expect("simulation completes")
     }
 
     #[test]

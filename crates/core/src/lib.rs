@@ -28,7 +28,7 @@
 //! let mut sim = Simulation::new(NetworkSpec::new(DragonflyConfig::canonical(2)));
 //! sim.inject(MsgInjection { time: SimTime::ZERO, src: TerminalId(0),
 //!                           dst: TerminalId(50), bytes: 65536, job: 0 });
-//! let run = sim.run();
+//! let run = sim.try_run().expect("run completes");
 //!
 //! // ...analyze with a projection script.
 //! let ds = DataSet::builder(&run).build();

@@ -147,7 +147,7 @@ mod tests {
                 });
             }
         }
-        sim.run()
+        sim.try_run().expect("simulation completes")
     }
 
     #[test]
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn unsampled_run_has_no_timeline() {
         let spec = NetworkSpec::new(DragonflyConfig::canonical(2));
-        let run = Simulation::new(spec).run();
+        let run = Simulation::new(spec).try_run().expect("simulation completes");
         assert!(TimelineView::traffic(&run).is_none());
         assert!(TimelineView::saturation(&run).is_none());
         assert!(TimelineView::terminal_means(&run).is_none());

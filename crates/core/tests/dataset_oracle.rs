@@ -321,7 +321,7 @@ fn sampled_run() -> RunData {
             });
         }
     }
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 #[test]
@@ -363,7 +363,7 @@ fn typed_dataset_equals_the_row_oracle_on_a_fat_tree_dataset() {
             job: 0,
         });
     }
-    let ds = sim.run().to_dataset();
+    let ds = sim.try_run().expect("simulation completes").to_dataset();
     // The rows `from_tables` was given, gathered back, feed the oracle.
     let rows = Rows {
         jobs: ds.jobs.clone(),

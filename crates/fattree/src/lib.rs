@@ -18,14 +18,17 @@
 //!   local class, aggregation↔core links the global class.
 //!
 //! Routing is up/down (deadlock-free on one VC): deterministic ECMP
-//! hashing or adaptive least-queued up-port selection.
+//! hashing or adaptive least-queued up-port selection. Hosts and switches
+//! run as [`Node`](hrviz_network::node::Node)s through the Dragonfly
+//! model's [`driver`](hrviz_network::driver), so batch and streamed runs
+//! share its checked boundary loop, fault broadcast and telemetry.
 //!
 //! ```
 //! use hrviz_fattree::{FatTreeConfig, FatTreeSim, UpRouting};
 //! use hrviz_network::{MsgInjection, TerminalId};
 //! use hrviz_pdes::SimTime;
 //!
-//! let mut sim = FatTreeSim::new(FatTreeConfig::try_new(4).expect("valid k"), UpRouting::Adaptive);
+//! let mut sim = FatTreeSim::new(FatTreeConfig::try_new(4)?, UpRouting::Adaptive);
 //! sim.inject(MsgInjection {
 //!     time: SimTime::ZERO,
 //!     src: TerminalId(0),
@@ -33,10 +36,11 @@
 //!     bytes: 8192,
 //!     job: 0,
 //! });
-//! let run = sim.run();
+//! let run = sim.try_run()?;
 //! assert_eq!(run.delivered_bytes(), 8192);
 //! let ds = run.to_dataset();        // same analytics as the Dragonfly
 //! assert_eq!(ds.len(hrviz_core::EntityKind::Terminal), 16);
+//! # Ok::<(), hrviz_network::HrvizError>(())
 //! ```
 
 #![forbid(unsafe_code)]

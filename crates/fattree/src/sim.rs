@@ -5,52 +5,14 @@ use crate::switch::{FtLinks, SwitchLp};
 use hrviz_core::dataset::{DataSet, LinkRow, RouterRow, TerminalRow};
 use hrviz_faults::{FaultSchedule, HrvizError};
 use hrviz_network::config::LinkClass;
-use hrviz_network::events::NetEvent;
+use hrviz_network::driver::{self, Boundary, Mode};
+use hrviz_network::node::{Node, Switch};
 use hrviz_network::terminal::TerminalLp;
 use hrviz_network::topology::TerminalId;
 use hrviz_network::traffic::{JobMeta, MsgInjection};
 use hrviz_network::NO_JOB;
-use hrviz_obs::Json;
-use hrviz_pdes::{Ctx, Engine, Lp, RunOutcome, SimTime, WatchdogConfig};
-use hrviz_stream::{CumulativeTotals, SliceControl, SliceCursor, SliceSink, StreamedOutcome};
-
-// Hosts dominate the node population; keep the flat in-place layout rather
-// than boxing (same trade-off as `hrviz_network::NetNode`).
-#[allow(clippy::large_enum_variant)]
-enum FtNode {
-    Host(TerminalLp),
-    Switch(SwitchLp),
-}
-
-// lint:allow(missing_state_saving, reason="fat-tree runs are one-shot batch sims with no checkpoint path; only the Dragonfly sweep engine snapshots LPs")
-impl Lp<NetEvent> for FtNode {
-    fn on_init(&mut self, ctx: &mut Ctx<'_, NetEvent>) {
-        if let FtNode::Host(h) = self {
-            h.on_init(ctx);
-        }
-    }
-
-    fn on_event(&mut self, ctx: &mut Ctx<'_, NetEvent>, ev: NetEvent) {
-        match self {
-            FtNode::Host(h) => h.on_event(ctx, ev),
-            FtNode::Switch(s) => s.on_event(ctx, ev),
-        }
-    }
-
-    fn on_finish(&mut self, now: SimTime) {
-        match self {
-            FtNode::Host(h) => h.on_finish(now),
-            FtNode::Switch(s) => s.on_finish(now),
-        }
-    }
-
-    fn audit(&self) -> Result<(), String> {
-        match self {
-            FtNode::Host(h) => h.audit(),
-            FtNode::Switch(s) => s.audit(),
-        }
-    }
-}
+use hrviz_pdes::SimTime;
+use hrviz_stream::{SliceSink, StreamedOutcome};
 
 /// A configured Fat-Tree simulation.
 pub struct FatTreeSim {
@@ -62,9 +24,6 @@ pub struct FatTreeSim {
     schedules: Vec<Vec<MsgInjection>>,
     jobs: Vec<JobMeta>,
     faults: FaultSchedule,
-    hop_limit: u8,
-    drop_without_credit: bool,
-    watchdog: Option<WatchdogConfig>,
 }
 
 impl FatTreeSim {
@@ -79,9 +38,6 @@ impl FatTreeSim {
             schedules: vec![Vec::new(); cfg.num_hosts() as usize],
             jobs: Vec::new(),
             faults: FaultSchedule::new(0),
-            hop_limit: 16,
-            drop_without_credit: false,
-            watchdog: None,
         }
     }
 
@@ -89,18 +45,6 @@ impl FatTreeSim {
     /// its injection time.
     pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Per-packet hop budget before a counted TTL drop (default 16).
-    pub fn with_hop_limit(mut self, hop_limit: u8) -> Self {
-        self.hop_limit = hop_limit;
-        self
-    }
-
-    /// Override the engine watchdog thresholds.
-    pub fn with_watchdog(mut self, cfg: WatchdogConfig) -> Self {
-        self.watchdog = Some(cfg);
         self
     }
 
@@ -130,22 +74,29 @@ impl FatTreeSim {
         }
     }
 
-    /// Run to completion and extract results.
-    ///
-    /// Panics on a watchdog trip or failed credit audit; prefer
-    /// [`FatTreeSim::try_run`] for fault-injected workloads.
-    pub fn run(self) -> FatTreeRun {
-        match self.try_run() {
-            Ok(run) => run,
-            Err(e) => panic!("fat-tree simulation failed: {e}"),
-        }
+    /// Run to completion, converting watchdog trips and credit-audit
+    /// failures into structured errors instead of panicking.
+    pub fn try_run(self) -> Result<FatTreeRun, HrvizError> {
+        self.drive(Mode::Serial { restore_from: None, grid: None })?
+            .completed()
+            .ok_or_else(|| HrvizError::config("batch run aborted without a slice sink"))
     }
 
-    /// Build the LP population and engine (shared by the batch and
-    /// streamed run paths). Fault broadcasts are scheduled here.
-    fn assemble(
-        mut self,
-    ) -> (FatTreeConfig, Vec<JobMeta>, Engine<NetEvent, FtNode>, hrviz_obs::Collector) {
+    /// Run to completion, sealing one [`hrviz_stream::Slice`] of counter
+    /// deltas into `sink` at every absolute multiple of `window` plus a
+    /// final partial slice. The sink may abort the run; a completed run
+    /// is bit-identical to [`FatTreeSim::try_run`].
+    pub fn try_run_streamed(
+        self,
+        window: SimTime,
+        sink: SliceSink<'_>,
+    ) -> Result<StreamedOutcome<FatTreeRun>, HrvizError> {
+        self.drive(Mode::Serial { restore_from: None, grid: Some((window, Boundary::Slice(sink))) })
+    }
+
+    /// Build the hosts and switches and run them through the shared
+    /// driver, reporting into the global collector.
+    fn drive(mut self, mode: Mode<'_>) -> Result<StreamedOutcome<FatTreeRun>, HrvizError> {
         let cfg = self.cfg;
         let mut nodes = Vec::with_capacity(cfg.num_lps() as usize);
         for hst in 0..cfg.num_hosts() {
@@ -160,166 +111,41 @@ impl FatTreeSim {
             let mut sched = std::mem::take(&mut self.schedules[hst as usize]);
             sched.sort_by_key(|m| m.time);
             lp.set_schedule(sched);
-            nodes.push(FtNode::Host(lp));
+            nodes.push(Node::Terminal(lp));
         }
         for sw in 0..cfg.num_switches() {
-            let mut lp =
+            let lp =
                 SwitchLp::new(cfg, sw, self.routing, &self.links, 1, self.vc_buffer_bytes, None);
-            lp.set_fault_policy(self.hop_limit, self.drop_without_credit);
-            nodes.push(FtNode::Switch(lp));
+            nodes.push(Node::Switch(lp));
         }
         for (j, job) in self.jobs.iter().enumerate() {
             for &t in &job.terminals {
-                match &mut nodes[t.0 as usize] {
-                    FtNode::Host(h) => h.job = j as u16,
-                    FtNode::Switch(_) => unreachable!(),
+                if let Node::Terminal(h) = &mut nodes[t.0 as usize] {
+                    h.job = j as u16;
                 }
             }
         }
         // Lookahead = min link latency.
         let lookahead =
             self.links.host.latency.min(self.links.pod.latency).min(self.links.core.latency);
-        let collector = hrviz_obs::get();
-        let mut engine = Engine::new(nodes, lookahead);
-        engine.set_collector(collector.clone());
-        if let Some(wd) = self.watchdog {
-            engine.set_watchdog(wd);
-        }
-        if !self.faults.is_empty() {
-            for tf in self.faults.events() {
-                collector.event(
-                    "fault_injected",
-                    &[
-                        ("time_ns", Json::U64(tf.time.0)),
-                        ("kind", Json::Str(tf.fault.kind().to_string())),
-                        ("router", Json::U64(tf.fault.router() as u64)),
-                    ],
-                );
-                for sw in 0..cfg.num_switches() {
-                    engine.schedule(tf.time, cfg.switch_lp(sw), NetEvent::Fault(tf.fault));
-                }
+        let jobs = self.jobs;
+        driver::drive(nodes, lookahead, &self.faults, &hrviz_obs::get(), mode, |nodes, stats| {
+            FatTreeRun {
+                cfg,
+                jobs,
+                nodes,
+                end_time: stats.end_time,
+                events_processed: stats.events_processed,
             }
-            collector.counter_add("net/fault_events", self.faults.len() as u64);
-        }
-        (cfg, self.jobs, engine, collector)
+        })
     }
-
-    /// Run to completion, converting watchdog trips and credit-audit
-    /// failures into structured errors instead of panicking.
-    pub fn try_run(self) -> Result<FatTreeRun, HrvizError> {
-        let (cfg, jobs, mut engine, collector) = self.assemble();
-        let span = collector.span("sim/fattree_run");
-        engine.try_run_to_completion()?;
-        let stats = engine.stats();
-        span.end();
-        let run = FatTreeRun {
-            cfg,
-            jobs,
-            nodes: engine.into_lps(),
-            end_time: stats.end_time,
-            events_processed: stats.events_processed,
-        };
-        collector.counter_add("net/packets_dropped", run.dropped_packets());
-        collector.counter_add("net/packets_rerouted", run.rerouted_packets());
-        Ok(run)
-    }
-
-    /// Run to completion, sealing one [`hrviz_stream::Slice`] of counter
-    /// deltas into `sink` at every absolute multiple of `window` plus a
-    /// final partial slice. The sink may abort the run; a completed run
-    /// is bit-identical to [`FatTreeSim::try_run`].
-    pub fn try_run_streamed(
-        self,
-        window: SimTime,
-        sink: SliceSink<'_>,
-    ) -> Result<StreamedOutcome<FatTreeRun>, HrvizError> {
-        let every = window.as_nanos();
-        if every == 0 {
-            return Err(HrvizError::config("slice window must be positive"));
-        }
-        let (cfg, jobs, mut engine, collector) = self.assemble();
-        let span = collector.span("sim/fattree_run");
-        let hosts = cfg.num_hosts() as usize;
-        let mut cursor = SliceCursor::new(hosts);
-        // Absolute-multiple grid, matching the Dragonfly streamed path.
-        let mut next = engine.now().as_nanos() / every + 1;
-        loop {
-            let bound = next.saturating_mul(every);
-            let outcome = engine.try_run_until(SimTime(bound))?;
-            if outcome != RunOutcome::TimeBound {
-                // Finalize (on_finish + drain audit) before the last cut.
-                engine.try_run_to_completion()?;
-                let t_end = engine.now().as_nanos();
-                if let Some(slice) = cursor.cut(t_end, ft_totals(engine.lps(), hosts)) {
-                    if let SliceControl::Abort(reason) = sink(&slice)? {
-                        span.end();
-                        return Ok(StreamedOutcome::Aborted {
-                            reason,
-                            at_ns: t_end,
-                            slices: cursor.slices(),
-                        });
-                    }
-                }
-                break;
-            }
-            if let Some(slice) = cursor.cut(bound, ft_totals(engine.lps(), hosts)) {
-                if let SliceControl::Abort(reason) = sink(&slice)? {
-                    span.end();
-                    return Ok(StreamedOutcome::Aborted {
-                        reason,
-                        at_ns: bound,
-                        slices: cursor.slices(),
-                    });
-                }
-            }
-            next = (engine.now().as_nanos() / every + 1).max(next + 1);
-        }
-        let stats = engine.stats();
-        span.end();
-        let run = FatTreeRun {
-            cfg,
-            jobs,
-            nodes: engine.into_lps(),
-            end_time: stats.end_time,
-            events_processed: stats.events_processed,
-        };
-        collector.counter_add("net/packets_dropped", run.dropped_packets());
-        collector.counter_add("net/packets_rerouted", run.rerouted_packets());
-        Ok(StreamedOutcome::Completed(run))
-    }
-}
-
-/// Cumulative totals from the live fat-tree LP population.
-fn ft_totals<'a>(nodes: impl Iterator<Item = &'a FtNode>, hosts: usize) -> CumulativeTotals {
-    let mut cur =
-        CumulativeTotals { per_terminal: vec![(0, 0); hosts], ..CumulativeTotals::default() };
-    for node in nodes {
-        match node {
-            FtNode::Host(h) => {
-                cur.delivered_packets += h.stats.packets_finished;
-                cur.delivered_bytes += h.stats.recv_bytes;
-                cur.injected_packets += h.stats.packets_sent;
-                cur.injected_bytes += h.stats.injected_bytes;
-                if let Some(slot) = cur.per_terminal.get_mut(h.id.0 as usize) {
-                    *slot = (h.stats.latency_sum_ns, h.stats.packets_finished);
-                }
-            }
-            FtNode::Switch(s) => {
-                cur.dropped_packets += s.drops().total();
-                for port in s.ports() {
-                    cur.vc_sat_ns += port.sat_ns;
-                }
-            }
-        }
-    }
-    cur
 }
 
 /// Results of a Fat-Tree run.
 pub struct FatTreeRun {
     cfg: FatTreeConfig,
     jobs: Vec<JobMeta>,
-    nodes: Vec<FtNode>,
+    nodes: Vec<Node<SwitchLp>>,
     /// Simulated end time.
     pub end_time: SimTime,
     /// Events processed.
@@ -354,17 +180,11 @@ impl FatTreeRun {
     }
 
     fn hosts(&self) -> impl Iterator<Item = &TerminalLp> {
-        self.nodes.iter().filter_map(|n| match n {
-            FtNode::Host(h) => Some(h),
-            FtNode::Switch(_) => None,
-        })
+        self.nodes.iter().filter_map(Node::as_terminal)
     }
 
     fn switches(&self) -> impl Iterator<Item = &SwitchLp> {
-        self.nodes.iter().filter_map(|n| match n {
-            FtNode::Switch(s) => Some(s),
-            FtNode::Host(_) => None,
-        })
+        self.nodes.iter().filter_map(Node::as_switch)
     }
 
     /// Mean packet latency (ns) over all delivered packets.
@@ -497,6 +317,7 @@ mod tests {
     use super::*;
     use hrviz_core::{build_view, EntityKind, Field, LevelSpec, ProjectionSpec, RibbonSpec};
     use hrviz_faults::FaultEvent;
+    use hrviz_stream::SliceControl;
     use rand::{Rng, SeedableRng};
 
     fn msg(t: u64, src: u32, dst: u32, bytes: u64) -> MsgInjection {
@@ -508,7 +329,7 @@ mod tests {
         let cfg = FatTreeConfig::try_new(4).expect("valid k");
         let mut sim = FatTreeSim::new(cfg, UpRouting::Ecmp);
         sim.inject(msg(0, 0, 15, 10_000)); // pod 0 → pod 3: full up/down
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert_eq!(run.delivered_bytes(), 10_000);
         let ds = run.to_dataset();
         // 5 switch hops: edge, agg, core, agg, edge.
@@ -522,7 +343,7 @@ mod tests {
         let cfg = FatTreeConfig::try_new(4).expect("valid k");
         let mut sim = FatTreeSim::new(cfg, UpRouting::Ecmp);
         sim.inject(msg(0, 0, 1, 4096)); // same edge switch
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         let ds = run.to_dataset();
         assert_eq!(ds.terminal_rows()[1].avg_hops, 1.0);
         // No pod or core link carries traffic.
@@ -546,7 +367,7 @@ mod tests {
                     expect += 4096;
                 }
             }
-            let run = sim.run();
+            let run = sim.try_run().expect("run");
             assert_eq!(run.delivered_bytes(), expect, "{}", routing.name());
         }
     }
@@ -639,7 +460,7 @@ mod tests {
                     sim.inject(msg(k * 100, src, 4 + src, 16 * 1024));
                 }
             }
-            sim.run()
+            sim.try_run().expect("run")
         };
         let ecmp = run_with(UpRouting::Ecmp);
         let ada = run_with(UpRouting::Adaptive);
@@ -739,7 +560,7 @@ mod tests {
                 job: 0,
             });
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         let ds = run.to_dataset();
         // The Dragonfly projection machinery works unchanged: pods as
         // groups, pod links bundled as ribbons.
@@ -770,7 +591,7 @@ mod tests {
         let cfg = FatTreeConfig::try_new(4).expect("valid k");
         let mut sim = FatTreeSim::new(cfg, UpRouting::Ecmp);
         sim.inject(msg(0, 0, 15, 64 * 1024));
-        let ds = sim.run().to_dataset();
+        let ds = sim.try_run().expect("run").to_dataset();
         // 20 switches → 20 router rows; cores in pseudo-group 4.
         let routers = ds.router_rows();
         assert_eq!(routers.len(), 20);

@@ -5,10 +5,11 @@ use crate::config::{FatTreeConfig, Layer, UpRouting};
 use hrviz_faults::{FaultEvent, FaultView};
 use hrviz_network::config::{LinkClass, LinkClassParams, SamplingConfig};
 use hrviz_network::events::{CreditReturn, NetEvent};
+use hrviz_network::node::Switch;
 use hrviz_network::packet::Packet;
 use hrviz_network::port::{OutPort, PortAction};
 use hrviz_network::DropCounters;
-use hrviz_pdes::{Ctx, LpId, SimTime};
+use hrviz_pdes::{Ctx, Lp, LpId, SimTime};
 
 /// Per-class link parameters for the Fat Tree.
 #[derive(Clone, Copy, Debug)]
@@ -31,6 +32,9 @@ impl Default for FtLinks {
     }
 }
 
+/// Per-packet hop budget: a packet past it is a counted TTL drop.
+const HOP_LIMIT: u8 = 16;
+
 enum FtDrop {
     SwitchDown,
     NoRoute,
@@ -52,8 +56,6 @@ pub struct SwitchLp {
     routing: UpRouting,
     ports: Vec<OutPort>,
     faults: FaultView,
-    hop_limit: u8,
-    drop_without_credit: bool,
     drops: DropCounters,
     reroutes: u64,
 }
@@ -141,36 +143,9 @@ impl SwitchLp {
             routing,
             ports,
             faults: FaultView::new(),
-            hop_limit: 16,
-            drop_without_credit: false,
             drops: DropCounters::default(),
             reroutes: 0,
         }
-    }
-
-    /// Set the per-packet hop budget (TTL) and the credit-drop mode.
-    pub fn set_fault_policy(&mut self, hop_limit: u8, drop_without_credit: bool) {
-        self.hop_limit = hop_limit;
-        self.drop_without_credit = drop_without_credit;
-    }
-
-    /// Packets discarded at this switch.
-    pub fn drops(&self) -> &DropCounters {
-        &self.drops
-    }
-
-    /// Packets steered to an alternate up-port because their first choice
-    /// was dead.
-    pub fn reroutes(&self) -> u64 {
-        self.reroutes
-    }
-
-    /// Post-drain invariant check: every credit lent out came back.
-    pub fn audit(&self) -> Result<(), String> {
-        for p in &self.ports {
-            p.audit().map_err(|e| format!("switch {}: {e}", self.id))?;
-        }
-        Ok(())
     }
 
     /// The switch's layer.
@@ -181,11 +156,6 @@ impl SwitchLp {
     /// (pod, index-within-layer) of this switch (pod is 0 for cores).
     pub fn position(&self) -> (u32, u32) {
         (self.pod, self.idx)
-    }
-
-    /// The switch's ports (metric extraction).
-    pub fn ports(&self) -> &[OutPort] {
-        &self.ports
     }
 
     fn up_range(&self) -> std::ops::Range<usize> {
@@ -264,13 +234,11 @@ impl SwitchLp {
             FtDrop::Ttl => self.drops.ttl += 1,
         }
         self.drops.bytes += pkt.bytes as u64;
-        if !self.drop_without_credit {
-            ctx.send(
-                from.lp,
-                from.latency,
-                NetEvent::Credit { port: from.port, vc: from.vc, bytes: from.bytes },
-            );
-        }
+        ctx.send(
+            from.lp,
+            from.latency,
+            NetEvent::Credit { port: from.port, vc: from.vc, bytes: from.bytes },
+        );
     }
 
     fn apply(&mut self, ctx: &mut Ctx<'_, NetEvent>, port: usize, action: PortAction) {
@@ -278,9 +246,20 @@ impl SwitchLp {
             ctx.send_self(finish - ctx.now(), NetEvent::XmitDone { port: port as u16 });
         }
     }
+}
+
+// lint:allow(missing_state_saving, reason="Fat-Tree switches are not checkpointed: snapshot and restore keep the trait default, SnapshotError::Unsupported")
+impl Lp<NetEvent> for SwitchLp {
+    /// Post-drain invariant check: every credit lent out came back.
+    fn audit(&self) -> Result<(), String> {
+        for p in &self.ports {
+            p.audit().map_err(|e| format!("switch {}: {e}", self.id))?;
+        }
+        Ok(())
+    }
 
     /// Handle one event.
-    pub fn on_event(&mut self, ctx: &mut Ctx<'_, NetEvent>, ev: NetEvent) {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, NetEvent>, ev: NetEvent) {
         match ev {
             NetEvent::RouterArrive { mut pkt, from } => {
                 pkt.hops = pkt.hops.saturating_add(1);
@@ -288,7 +267,7 @@ impl SwitchLp {
                     self.drop_packet(ctx, &pkt, from, FtDrop::SwitchDown);
                     return;
                 }
-                if pkt.hops > self.hop_limit {
+                if pkt.hops > HOP_LIMIT {
                     self.drop_packet(ctx, &pkt, from, FtDrop::Ttl);
                     return;
                 }
@@ -351,10 +330,28 @@ impl SwitchLp {
     }
 
     /// Close open saturation intervals.
-    pub fn on_finish(&mut self, now: SimTime) {
+    fn on_finish(&mut self, now: SimTime) {
         for p in &mut self.ports {
             p.finish(now);
         }
+    }
+}
+
+impl Switch for SwitchLp {
+    /// The switch's ports (metric extraction).
+    fn ports(&self) -> &[OutPort] {
+        &self.ports
+    }
+
+    /// Packets discarded at this switch.
+    fn drops(&self) -> &DropCounters {
+        &self.drops
+    }
+
+    /// Packets steered to an alternate up-port because their first choice
+    /// was dead.
+    fn reroutes(&self) -> u64 {
+        self.reroutes
     }
 }
 

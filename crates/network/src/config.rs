@@ -309,12 +309,6 @@ impl NetworkSpec {
         self
     }
 
-    /// Builder-style: set the per-packet TTL.
-    pub fn with_hop_limit(mut self, hop_limit: u8) -> Self {
-        self.hop_limit = hop_limit;
-        self
-    }
-
     /// Parameters for a link class.
     pub fn link(&self, class: LinkClass) -> LinkClassParams {
         match class {

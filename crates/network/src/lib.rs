@@ -14,8 +14,9 @@
 //!   terminal data size / busy time / packets finished / mean latency /
 //!   mean hops / job id (paper Fig. 2a), plus time-series sampling at any
 //!   rate (paper §III),
-//! * [`Simulation`] — assembly + execution on the sequential or the
-//!   conservative-parallel engine (bit-identical results), producing a
+//! * [`Simulation`] — assembly + execution through the one [`driver`]
+//!   every topology shares (sequential, checkpointed, streamed or
+//!   conservative-parallel, bit-identical results), producing a
 //!   [`RunData`] consumed by `hrviz-core`.
 //!
 //! ## Example
@@ -35,14 +36,16 @@
 //!     bytes: 8192,
 //!     job: 0,
 //! });
-//! let run = sim.run();
+//! let run = sim.try_run()?;
 //! assert_eq!(run.total_delivered(), 8192);
+//! # Ok::<(), hrviz_network::HrvizError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod driver;
 pub mod events;
 pub mod metrics;
 pub mod node;
@@ -58,6 +61,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use config::{DragonflyConfig, LinkClass, LinkClassParams, NetworkSpec, SamplingConfig};
+pub use driver::{CheckpointOptions, CheckpointSink};
 pub use hrviz_faults::{FaultEvent, FaultSchedule, FaultView, HrvizError, TimedFault};
 pub use hrviz_stream::{Slice, SliceControl, SliceSink, StreamedOutcome};
 pub use metrics::{ClassSeries, JobStats, LinkRecord, RouterRecord, RunData, TerminalRecord};
@@ -65,6 +69,6 @@ pub use packet::{JobId, Packet, RoutePlan, NO_JOB};
 pub use router::DropCounters;
 pub use routing::RoutingAlgorithm;
 pub use sampling::Bins;
-pub use sim::{CheckpointOptions, CheckpointSink, Simulation};
+pub use sim::Simulation;
 pub use topology::{GroupId, RouterId, TerminalId, Topology};
 pub use traffic::{JobMeta, MsgInjection};

@@ -2,7 +2,7 @@
 //! the class-level time series of the timeline view.
 
 use crate::config::{LinkClass, NetworkSpec, SamplingConfig};
-use crate::node::NetNode;
+use crate::node::{NetNode, Switch};
 use crate::packet::JobId;
 use crate::sampling::Bins;
 use crate::topology::{RouterId, TerminalId, Topology};
@@ -185,7 +185,7 @@ impl RunData {
         let mut eject_sat_bins: Vec<Option<Bins>> = vec![None; nt];
 
         for node in &nodes[nt..] {
-            let r = node.as_router().expect("router LP range");
+            let r = node.as_switch().expect("router LP range");
             let rid = r.id;
             let my_rank = topo.rank_of_router(rid);
             let mut rec = RouterRecord {

@@ -1,79 +1,97 @@
-//! The LP enum tying terminals and routers into one engine.
+//! The LP enum tying terminals and switches into one engine.
 
 use crate::events::NetEvent;
-use crate::router::RouterLp;
+use crate::port::OutPort;
+use crate::router::{DropCounters, RouterLp};
 use crate::terminal::TerminalLp;
 use hrviz_pdes::wire::{SnapshotError, WireReader, WireWriter};
 use hrviz_pdes::{Ctx, Lp, SimTime};
 
-/// A simulation node: either a terminal or a router. Using an enum (rather
+/// A switch LP model: the Dragonfly [`RouterLp`] or another topology's
+/// switch. Beside handling events it exposes what the driver reads from
+/// every switch: its out ports and its fault counters. A switch that does
+/// not override [`Lp::snapshot`] / [`Lp::restore`] makes checkpointing
+/// fail with [`SnapshotError::Unsupported`].
+pub trait Switch: Lp<NetEvent> {
+    /// The out ports (metric extraction and slice totals).
+    fn ports(&self) -> &[OutPort];
+    /// Packets discarded at this switch.
+    fn drops(&self) -> &DropCounters;
+    /// Packets this switch steered around a dead link.
+    fn reroutes(&self) -> u64;
+}
+
+/// A simulation node: either a terminal or a switch. Using an enum (rather
 /// than trait objects) keeps the event loop monomorphic and branch-predicted.
 // Terminals dominate the node population; boxing either variant would trade
 // the intended flat in-place layout for a pointer chase on the hot path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub enum NetNode {
+pub enum Node<S> {
     /// Compute-node NIC.
     Terminal(TerminalLp),
-    /// Dragonfly router.
-    Router(RouterLp),
+    /// Router or switch.
+    Switch(S),
 }
 
-impl NetNode {
+/// A Dragonfly node.
+pub type NetNode = Node<RouterLp>;
+
+impl<S> Node<S> {
     /// The terminal, if this node is one.
     pub fn as_terminal(&self) -> Option<&TerminalLp> {
         match self {
-            NetNode::Terminal(t) => Some(t),
-            NetNode::Router(_) => None,
+            Node::Terminal(t) => Some(t),
+            Node::Switch(_) => None,
         }
     }
 
-    /// The router, if this node is one.
-    pub fn as_router(&self) -> Option<&RouterLp> {
+    /// The switch, if this node is one.
+    pub fn as_switch(&self) -> Option<&S> {
         match self {
-            NetNode::Router(r) => Some(r),
-            NetNode::Terminal(_) => None,
+            Node::Switch(s) => Some(s),
+            Node::Terminal(_) => None,
         }
     }
 }
 
-impl Lp<NetEvent> for NetNode {
+impl<S: Switch> Lp<NetEvent> for Node<S> {
     fn on_init(&mut self, ctx: &mut Ctx<'_, NetEvent>) {
-        if let NetNode::Terminal(t) = self {
+        if let Node::Terminal(t) = self {
             t.on_init(ctx);
         }
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, NetEvent>, ev: NetEvent) {
         match self {
-            NetNode::Terminal(t) => t.on_event(ctx, ev),
-            NetNode::Router(r) => r.on_event(ctx, ev),
+            Node::Terminal(t) => t.on_event(ctx, ev),
+            Node::Switch(s) => s.on_event(ctx, ev),
         }
     }
 
     fn on_finish(&mut self, now: SimTime) {
         match self {
-            NetNode::Terminal(t) => t.on_finish(now),
-            NetNode::Router(r) => r.on_finish(now),
+            Node::Terminal(t) => t.on_finish(now),
+            Node::Switch(s) => s.on_finish(now),
         }
     }
 
     fn audit(&self) -> Result<(), String> {
         match self {
-            NetNode::Terminal(t) => t.audit(),
-            NetNode::Router(r) => r.audit(),
+            Node::Terminal(t) => t.audit(),
+            Node::Switch(s) => s.audit(),
         }
     }
 
     fn snapshot(&self, w: &mut WireWriter) -> Result<(), SnapshotError> {
         match self {
-            NetNode::Terminal(t) => {
+            Node::Terminal(t) => {
                 w.put_u8(0);
                 t.snapshot(w)
             }
-            NetNode::Router(r) => {
+            Node::Switch(s) => {
                 w.put_u8(1);
-                r.snapshot(w)
+                s.snapshot(w)
             }
         }
     }
@@ -81,8 +99,8 @@ impl Lp<NetEvent> for NetNode {
     fn restore(&mut self, r: &mut WireReader<'_>) -> Result<(), SnapshotError> {
         let tag = r.u8()?;
         match (tag, self) {
-            (0, NetNode::Terminal(t)) => t.restore(r),
-            (1, NetNode::Router(rt)) => rt.restore(r),
+            (0, Node::Terminal(t)) => t.restore(r),
+            (1, Node::Switch(s)) => s.restore(r),
             (tag, _) => Err(SnapshotError::Corrupt(format!(
                 "node kind mismatch: snapshot tag {tag} does not match model node"
             ))),

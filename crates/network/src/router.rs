@@ -7,6 +7,7 @@
 
 use crate::config::{LinkClass, NetworkSpec};
 use crate::events::{CreditReturn, NetEvent};
+use crate::node::Switch;
 use crate::packet::{Packet, RoutePlan};
 use crate::port::{OutPort, PortAction};
 use crate::routing::{
@@ -16,7 +17,7 @@ use crate::routing::{
 use crate::topology::{GroupId, RouterId, Topology};
 use hrviz_faults::{FaultEvent, FaultView};
 use hrviz_pdes::wire::{SnapshotError, WireReader, WireWriter};
-use hrviz_pdes::{Ctx, LpId, SimTime};
+use hrviz_pdes::{Ctx, Lp, LpId, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -140,29 +141,6 @@ impl RouterLp {
             drops: DropCounters::default(),
             reroutes: 0,
         }
-    }
-
-    /// The router's out ports (metric extraction).
-    pub fn ports(&self) -> &[OutPort] {
-        &self.ports
-    }
-
-    /// Packets discarded at this router (metric extraction).
-    pub fn drops(&self) -> &DropCounters {
-        &self.drops
-    }
-
-    /// Packets this router diverted around a dead link.
-    pub fn reroutes(&self) -> u64 {
-        self.reroutes
-    }
-
-    /// End-of-run credit-conservation check across all out ports.
-    pub fn audit(&self) -> Result<(), String> {
-        for p in &self.ports {
-            p.audit().map_err(|e| format!("router {}: {e}", self.id.0))?;
-        }
-        Ok(())
     }
 
     fn step_port(&self, step: Step) -> usize {
@@ -398,9 +376,19 @@ impl RouterLp {
             ctx.send_self(finish - ctx.now(), NetEvent::XmitDone { port: port as u16 });
         }
     }
+}
+
+impl Lp<NetEvent> for RouterLp {
+    /// End-of-run credit-conservation check across all out ports.
+    fn audit(&self) -> Result<(), String> {
+        for p in &self.ports {
+            p.audit().map_err(|e| format!("router {}: {e}", self.id.0))?;
+        }
+        Ok(())
+    }
 
     /// Handle an event addressed to this router.
-    pub fn on_event(&mut self, ctx: &mut Ctx<'_, NetEvent>, ev: NetEvent) {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, NetEvent>, ev: NetEvent) {
         match ev {
             NetEvent::RouterArrive { mut pkt, from } => {
                 pkt.hops = pkt.hops.saturating_add(1);
@@ -469,7 +457,7 @@ impl RouterLp {
     }
 
     /// Close open saturation intervals.
-    pub fn on_finish(&mut self, now: SimTime) {
+    fn on_finish(&mut self, now: SimTime) {
         for p in &mut self.ports {
             p.finish(now);
         }
@@ -478,7 +466,7 @@ impl RouterLp {
     /// Serialize the router's dynamic state — every out port, the RNG
     /// stream position, the fault view, and drop/reroute counters — for an
     /// engine checkpoint. Topology wiring is static and excluded.
-    pub fn snapshot(&self, w: &mut WireWriter) -> Result<(), SnapshotError> {
+    fn snapshot(&self, w: &mut WireWriter) -> Result<(), SnapshotError> {
         w.put_u64(self.ports.len() as u64);
         for p in &self.ports {
             p.snapshot(w)?;
@@ -496,7 +484,7 @@ impl RouterLp {
     }
 
     /// Inverse of [`RouterLp::snapshot`].
-    pub fn restore(&mut self, r: &mut WireReader<'_>) -> Result<(), SnapshotError> {
+    fn restore(&mut self, r: &mut WireReader<'_>) -> Result<(), SnapshotError> {
         let n_ports = r.u64()? as usize;
         if n_ports != self.ports.len() {
             return Err(SnapshotError::Corrupt(format!(
@@ -519,6 +507,23 @@ impl RouterLp {
         };
         self.reroutes = r.u64()?;
         Ok(())
+    }
+}
+
+impl Switch for RouterLp {
+    /// The router's out ports (metric extraction).
+    fn ports(&self) -> &[OutPort] {
+        &self.ports
+    }
+
+    /// Packets discarded at this router (metric extraction).
+    fn drops(&self) -> &DropCounters {
+        &self.drops
+    }
+
+    /// Packets this router diverted around a dead link.
+    fn reroutes(&self) -> u64 {
+        self.reroutes
     }
 }
 

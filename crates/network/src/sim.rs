@@ -1,52 +1,25 @@
-//! Simulation assembly and execution.
+//! Simulation assembly.
 //!
 //! [`Simulation`] builds the LP population from a [`NetworkSpec`], installs
-//! workload injections and job metadata, runs the engine (sequential or
+//! workload injections and job metadata, runs it through the shared
+//! [`driver`](crate::driver) (sequential, checkpointed, streamed or
 //! conservative-parallel — bit-identical results), and extracts a
 //! [`RunData`].
 
 use crate::config::NetworkSpec;
-use crate::events::NetEvent;
+use crate::driver::{self, Boundary, CheckpointOptions, CheckpointSink, Mode};
 use crate::metrics::RunData;
-use crate::node::NetNode;
+use crate::node::{NetNode, Node};
 use crate::packet::JobId;
 use crate::router::RouterLp;
 use crate::terminal::TerminalLp;
 use crate::topology::{RouterId, TerminalId, Topology};
 use crate::traffic::{JobMeta, MsgInjection};
 use hrviz_faults::{FaultSchedule, HrvizError};
-use hrviz_obs::{Collector, Json};
-use hrviz_pdes::wire::SnapshotError;
-use hrviz_pdes::{Engine, LpId, ParallelEngine, RunOutcome, SimTime, WatchdogConfig};
-use hrviz_stream::{CumulativeTotals, SliceControl, SliceCursor, SliceSink, StreamedOutcome};
+use hrviz_obs::Collector;
+use hrviz_pdes::SimTime;
+use hrviz_stream::{SliceSink, StreamedOutcome};
 use std::sync::Arc;
-
-/// Receives each checkpoint a [`Simulation::try_run_checkpointed`] run
-/// takes: the (absolute) virtual-time boundary and the snapshot bytes.
-pub type CheckpointSink<'a> = &'a mut dyn FnMut(SimTime, &[u8]) -> Result<(), HrvizError>;
-
-/// Checkpoint/restore options for [`Simulation::try_run_checkpointed`].
-#[derive(Default)]
-pub struct CheckpointOptions<'a> {
-    /// Restore engine state from this snapshot (bytes produced by an
-    /// earlier checkpoint of an identically configured simulation) before
-    /// running. The simulation must be rebuilt with the same spec,
-    /// injections, jobs, and fault schedule — only dynamic state rides in
-    /// the snapshot.
-    pub restore_from: Option<&'a [u8]>,
-    /// Snapshot every this much virtual time. Boundaries are absolute
-    /// multiples of the interval, so an interrupted-then-restored run
-    /// checkpoints at the same virtual times — with byte-identical
-    /// snapshots — as a straight-through run.
-    pub every: Option<SimTime>,
-}
-
-fn snapshot_to_hrviz(e: SnapshotError) -> HrvizError {
-    match e {
-        SnapshotError::Unsupported(what) => HrvizError::config(what),
-        SnapshotError::Corrupt(detail) => HrvizError::parse("engine checkpoint", detail),
-    }
-}
 
 /// A configured, not-yet-run simulation.
 pub struct Simulation {
@@ -55,14 +28,9 @@ pub struct Simulation {
     /// Per-terminal injection schedules.
     schedules: Vec<Vec<MsgInjection>>,
     jobs: Vec<JobMeta>,
-    /// Hard stop (events after this time are not processed).
-    horizon: SimTime,
-    event_budget: u64,
     collector: Collector,
     /// Timed fault events, broadcast to every router.
     faults: FaultSchedule,
-    /// Engine watchdog override (engine default when `None`).
-    watchdog: Option<WatchdogConfig>,
 }
 
 impl Simulation {
@@ -80,11 +48,8 @@ impl Simulation {
             topo,
             schedules: vec![Vec::new(); nt],
             jobs: Vec::new(),
-            horizon: SimTime::MAX,
-            event_budget: u64::MAX,
             collector: Collector::disabled(),
             faults: FaultSchedule::new(0),
-            watchdog: None,
         }
     }
 
@@ -137,52 +102,12 @@ impl Simulation {
         }
     }
 
-    /// Stop the simulation at `horizon` even if traffic remains undelivered.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Cap processed events (runaway/deadlock safety valve in tests).
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
     /// Attach a fault schedule. Each timed event is broadcast to every
     /// router at its trigger time over the engines' deterministic external
     /// injection path, so sequential and parallel runs stay bit-identical.
     pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// Override the engine watchdog (no-progress detector) configuration.
-    pub fn with_watchdog(mut self, cfg: WatchdogConfig) -> Self {
-        self.watchdog = Some(cfg);
-        self
-    }
-
-    /// Broadcast the fault schedule through `schedule` and report it.
-    fn broadcast_faults(&self, mut schedule: impl FnMut(SimTime, LpId, NetEvent)) {
-        if self.faults.is_empty() {
-            return;
-        }
-        let cfg = self.spec.topology;
-        for tf in self.faults.events() {
-            self.collector.event(
-                "fault_injected",
-                &[
-                    ("time_ns", Json::U64(tf.time.0)),
-                    ("kind", Json::Str(tf.fault.kind().to_string())),
-                    ("router", Json::U64(tf.fault.router() as u64)),
-                ],
-            );
-            for r in 0..cfg.num_routers() {
-                schedule(tf.time, self.topo.router_lp(RouterId(r)), NetEvent::Fault(tf.fault));
-            }
-        }
-        self.collector.counter_add("net/fault_events", self.faults.len() as u64);
     }
 
     fn build_nodes(&mut self) -> Vec<NetNode> {
@@ -202,37 +127,26 @@ impl Simulation {
             let mut sched = std::mem::take(&mut self.schedules[t as usize]);
             sched.sort_by_key(|m| m.time);
             lp.set_schedule(sched);
-            nodes.push(NetNode::Terminal(lp));
+            nodes.push(Node::Terminal(lp));
         }
         for r in 0..cfg.num_routers() {
-            nodes.push(NetNode::Router(RouterLp::new(&self.spec, RouterId(r))));
+            nodes.push(Node::Switch(RouterLp::new(&self.spec, RouterId(r))));
         }
         // Stamp terminal job ids from job metadata.
         for (j, job) in self.jobs.iter().enumerate() {
             for &t in &job.terminals {
-                match &mut nodes[t.0 as usize] {
-                    NetNode::Terminal(lp) => lp.job = j as JobId,
-                    NetNode::Router(_) => unreachable!(),
+                if let Node::Terminal(lp) = &mut nodes[t.0 as usize] {
+                    lp.job = j as JobId;
                 }
             }
         }
         nodes
     }
 
-    /// Run on the sequential engine. Panics if the watchdog or the
-    /// end-of-run credit auditor reports a failure — use
-    /// [`Simulation::try_run`] for structured errors.
-    pub fn run(self) -> RunData {
-        match self.run_inner(false) {
-            Ok(run) => run,
-            Err(e) => panic!("simulation failed: {e}"),
-        }
-    }
-
     /// Run on the sequential engine with watchdog and end-of-run credit
     /// auditing: silent deadlocks come back as structured errors.
     pub fn try_run(self) -> Result<RunData, HrvizError> {
-        self.run_inner(true)
+        self.try_run_checkpointed(CheckpointOptions::default(), &mut |_, _| Ok(()))
     }
 
     /// Run on the sequential engine with checkpoint/restore support:
@@ -245,96 +159,8 @@ impl Simulation {
         opts: CheckpointOptions<'_>,
         sink: CheckpointSink<'_>,
     ) -> Result<RunData, HrvizError> {
-        self.run_core(true, opts, Some(sink))
-    }
-
-    fn run_inner(self, checked: bool) -> Result<RunData, HrvizError> {
-        self.run_core(checked, CheckpointOptions::default(), None)
-    }
-
-    fn run_core(
-        mut self,
-        checked: bool,
-        opts: CheckpointOptions<'_>,
-        mut sink: Option<CheckpointSink<'_>>,
-    ) -> Result<RunData, HrvizError> {
-        let collector = self.collector.clone();
-        let span = collector.span("sim/run");
-        let nodes = self.build_nodes();
-        let mut engine = Engine::new(nodes, self.spec.lookahead());
-        engine.set_collector(collector.clone());
-        engine.set_event_budget(self.event_budget);
-        if let Some(w) = self.watchdog {
-            engine.set_watchdog(w);
-        }
-        match opts.restore_from {
-            Some(bytes) => {
-                // The snapshot carries the full pending-event set (fault
-                // broadcasts included), so nothing is re-scheduled here.
-                engine.restore(bytes).map_err(snapshot_to_hrviz)?;
-                collector.counter_add("sim/checkpoint_restores", 1);
-            }
-            None => self.broadcast_faults(|t, lp, ev| engine.schedule(t, lp, ev)),
-        }
-        if let Some(every) = opts.every {
-            let every = every.as_nanos();
-            if every == 0 {
-                return Err(HrvizError::config("checkpoint interval must be positive"));
-            }
-            // Boundaries are absolute multiples of the interval (tracked as
-            // the multiple index so quiet stretches skip ahead but the grid
-            // itself never shifts — interrupted and straight-through runs
-            // share it).
-            let mut next = engine.now().as_nanos() / every + 1;
-            loop {
-                let bound = next.saturating_mul(every);
-                if SimTime(bound) >= self.horizon {
-                    break;
-                }
-                let outcome = if checked {
-                    engine.try_run_until(SimTime(bound))?
-                } else {
-                    engine.run_until(SimTime(bound))
-                };
-                if outcome != RunOutcome::TimeBound {
-                    break; // drained or budget-exhausted: no boundary reached
-                }
-                let snap = engine.snapshot().map_err(snapshot_to_hrviz)?;
-                collector.counter_add("sim/checkpoints", 1);
-                if let Some(sink) = sink.as_mut() {
-                    sink(SimTime(bound), &snap)?;
-                }
-                next = (engine.now().as_nanos() / every + 1).max(next + 1);
-            }
-        }
-        if self.horizon == SimTime::MAX {
-            if checked {
-                engine.try_run_to_completion()?;
-            } else {
-                engine.run_to_completion();
-            }
-        } else {
-            if checked {
-                engine.try_run_until(self.horizon)?;
-            } else {
-                engine.run_until(self.horizon);
-            }
-            let now = engine.now();
-            // Finalize open intervals at the horizon.
-            for i in 0..engine.num_lps() {
-                use hrviz_pdes::Lp;
-                engine.lp_mut(hrviz_pdes::LpId(i as u32)).on_finish(now);
-            }
-        }
-        let stats = engine.stats();
-        let nodes = engine.into_lps();
-        let run = {
-            let _extract = collector.span("sim/extract");
-            RunData::extract(&self.spec, self.jobs, &nodes, stats)
-        };
-        report_network(&collector, &nodes, &run);
-        span.end();
-        Ok(run)
+        let grid = opts.every.map(|every| (every, Boundary::Checkpoint(sink)));
+        batch(self.drive(Mode::Serial { restore_from: opts.restore_from, grid }))
     }
 
     /// Run on the sequential engine, sealing one [`hrviz_stream::Slice`]
@@ -345,183 +171,31 @@ impl Simulation {
     /// watcher attached. Slicing is read-only observation of LP state:
     /// the completed [`RunData`] is bit-identical to [`Simulation::try_run`].
     pub fn try_run_streamed(
-        mut self,
+        self,
         window: SimTime,
         sink: SliceSink<'_>,
     ) -> Result<StreamedOutcome<RunData>, HrvizError> {
-        let every = window.as_nanos();
-        if every == 0 {
-            return Err(HrvizError::config("slice window must be positive"));
-        }
-        let collector = self.collector.clone();
-        let span = collector.span("sim/run");
-        let nodes = self.build_nodes();
-        let terminals = self.spec.topology.num_terminals() as usize;
-        let mut engine = Engine::new(nodes, self.spec.lookahead());
-        engine.set_collector(collector.clone());
-        engine.set_event_budget(self.event_budget);
-        if let Some(w) = self.watchdog {
-            engine.set_watchdog(w);
-        }
-        self.broadcast_faults(|t, lp, ev| engine.schedule(t, lp, ev));
-        let mut cursor = SliceCursor::new(terminals);
-        // Same absolute-multiple grid as the checkpoint path: the grid
-        // never shifts, so every observer of this config sees the same
-        // window boundaries.
-        let mut next = engine.now().as_nanos() / every + 1;
-        loop {
-            let bound = next.saturating_mul(every);
-            let capped = SimTime(bound) >= self.horizon;
-            let until = if capped { self.horizon } else { SimTime(bound) };
-            let outcome = engine.try_run_until(until)?;
-            let drained = outcome != RunOutcome::TimeBound;
-            if drained || capped {
-                // Finalize exactly as the batch paths do (on_finish, plus
-                // the drain audit when unbounded) *before* cutting the
-                // final partial slice, so it sees post-finish counters.
-                if self.horizon == SimTime::MAX {
-                    engine.try_run_to_completion()?;
-                } else {
-                    let now = engine.now();
-                    for i in 0..engine.num_lps() {
-                        use hrviz_pdes::Lp;
-                        engine.lp_mut(LpId(i as u32)).on_finish(now);
-                    }
-                }
-                let t_end = engine.now().as_nanos();
-                if let Some(slice) = cursor.cut(t_end, net_totals(engine.lps(), terminals)) {
-                    if let SliceControl::Abort(reason) = sink(&slice)? {
-                        span.end();
-                        return Ok(StreamedOutcome::Aborted {
-                            reason,
-                            at_ns: t_end,
-                            slices: cursor.slices(),
-                        });
-                    }
-                }
-                break;
-            }
-            let t_end = until.as_nanos();
-            if let Some(slice) = cursor.cut(t_end, net_totals(engine.lps(), terminals)) {
-                if let SliceControl::Abort(reason) = sink(&slice)? {
-                    span.end();
-                    return Ok(StreamedOutcome::Aborted {
-                        reason,
-                        at_ns: t_end,
-                        slices: cursor.slices(),
-                    });
-                }
-            }
-            next = (engine.now().as_nanos() / every + 1).max(next + 1);
-        }
-        let stats = engine.stats();
-        let nodes = engine.into_lps();
-        let run = {
-            let _extract = collector.span("sim/extract");
-            RunData::extract(&self.spec, self.jobs, &nodes, stats)
-        };
-        report_network(&collector, &nodes, &run);
-        span.end();
-        Ok(StreamedOutcome::Completed(run))
+        self.drive(Mode::Serial { restore_from: None, grid: Some((window, Boundary::Slice(sink))) })
     }
 
-    /// Run on the conservative parallel engine with `partitions` workers.
-    /// Produces results identical to [`Simulation::run`].
-    pub fn run_parallel(self, partitions: usize) -> RunData {
-        match self.run_parallel_inner(partitions, false) {
-            Ok(run) => run,
-            Err(e) => panic!("simulation failed: {e}"),
-        }
-    }
-
-    /// Checked variant of [`Simulation::run_parallel`]: watchdog trips and
-    /// credit-audit failures surface as structured errors. Produces results
-    /// identical to [`Simulation::try_run`].
+    /// Run on the conservative parallel engine with `partitions` workers,
+    /// checked like [`Simulation::try_run`] and producing identical results.
     pub fn try_run_parallel(self, partitions: usize) -> Result<RunData, HrvizError> {
-        self.run_parallel_inner(partitions, true)
+        batch(self.drive(Mode::Parallel(partitions)))
     }
 
-    fn run_parallel_inner(
-        mut self,
-        partitions: usize,
-        checked: bool,
-    ) -> Result<RunData, HrvizError> {
-        assert!(
-            self.horizon == SimTime::MAX && self.event_budget == u64::MAX,
-            "horizon/budget bounds are only supported on the sequential engine"
-        );
-        let collector = self.collector.clone();
-        let span = collector.span("sim/run");
+    fn drive(mut self, mode: Mode<'_>) -> Result<StreamedOutcome<RunData>, HrvizError> {
         let nodes = self.build_nodes();
-        let mut engine = ParallelEngine::new(nodes, self.spec.lookahead(), partitions);
-        engine.set_collector(collector.clone());
-        if let Some(w) = self.watchdog {
-            engine.set_watchdog(w);
-        }
-        self.broadcast_faults(|t, lp, ev| engine.schedule(t, lp, ev));
-        let stats =
-            if checked { engine.try_run_to_completion()? } else { engine.run_to_completion() };
-        let nodes = engine.into_lps();
-        let run = {
-            let _extract = collector.span("sim/extract");
-            RunData::extract(&self.spec, self.jobs, &nodes, stats)
-        };
-        report_network(&collector, &nodes, &run);
-        span.end();
-        Ok(run)
+        let Simulation { spec, jobs, collector, faults, .. } = self;
+        driver::drive(nodes, spec.lookahead(), &faults, &collector, mode, |nodes, stats| {
+            RunData::extract(&spec, jobs, &nodes, stats)
+        })
     }
 }
 
-/// Report network-level boundary telemetry: packet and byte totals, credit
-/// stalls, and the peak VC-occupancy histogram across all router ports.
-fn report_network(c: &Collector, nodes: &[NetNode], run: &RunData) {
-    if !c.is_enabled() {
-        return;
-    }
-    c.counter_add("net/packets_injected", run.terminals.iter().map(|t| t.packets_sent).sum());
-    c.counter_add("net/packets_delivered", run.terminals.iter().map(|t| t.packets_finished).sum());
-    c.counter_add("net/bytes_injected", run.total_injected());
-    c.counter_add("net/bytes_delivered", run.total_delivered());
-    c.counter_add("net/packets_dropped", run.total_dropped());
-    c.counter_add("net/packets_rerouted", run.total_rerouted());
-    // 21 buckets of 0.05 over [0, 1.05): exact 1.0 lands in the last bucket.
-    c.hist_ensure("net/vc_occupancy", 0.0, 0.05, 21);
-    let mut stalls = 0u64;
-    for node in nodes {
-        if let Some(r) = node.as_router() {
-            for port in r.ports() {
-                stalls += port.stalls;
-                for occ in port.vc_peak_occupancies() {
-                    c.hist_record("net/vc_occupancy", occ);
-                }
-            }
-        }
-    }
-    c.counter_add("net/credit_stalls", stalls);
-}
-
-/// Cumulative network totals from the live LP population (read-only; the
-/// slice cursor turns successive snapshots into window deltas).
-fn net_totals<'a>(nodes: impl Iterator<Item = &'a NetNode>, terminals: usize) -> CumulativeTotals {
-    let mut cur =
-        CumulativeTotals { per_terminal: vec![(0, 0); terminals], ..CumulativeTotals::default() };
-    for node in nodes {
-        if let Some(t) = node.as_terminal() {
-            cur.delivered_packets += t.stats.packets_finished;
-            cur.delivered_bytes += t.stats.recv_bytes;
-            cur.injected_packets += t.stats.packets_sent;
-            cur.injected_bytes += t.stats.injected_bytes;
-            if let Some(slot) = cur.per_terminal.get_mut(t.id.0 as usize) {
-                *slot = (t.stats.latency_sum_ns, t.stats.packets_finished);
-            }
-        } else if let Some(r) = node.as_router() {
-            cur.dropped_packets += r.drops().total();
-            for port in r.ports() {
-                cur.vc_sat_ns += port.sat_ns;
-            }
-        }
-    }
-    cur
+/// The result of a mode without a slice sink, which cannot abort.
+fn batch<T>(outcome: Result<StreamedOutcome<T>, HrvizError>) -> Result<T, HrvizError> {
+    outcome?.completed().ok_or_else(|| HrvizError::config("batch run aborted without a slice sink"))
 }
 
 #[cfg(test)]
@@ -529,6 +203,7 @@ mod tests {
     use super::*;
     use crate::config::DragonflyConfig;
     use crate::routing::RoutingAlgorithm;
+    use hrviz_stream::SliceControl;
 
     fn small_spec() -> NetworkSpec {
         let mut s = NetworkSpec::new(DragonflyConfig::canonical(2)); // 72 terminals
@@ -544,7 +219,7 @@ mod tests {
     fn single_message_is_delivered() {
         let mut sim = Simulation::new(small_spec());
         sim.inject(msg(0, 0, 71, 10_000));
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert_eq!(run.total_injected(), 10_000);
         assert_eq!(run.total_delivered(), 10_000);
         let dst = &run.terminals[71];
@@ -560,7 +235,7 @@ mod tests {
         for src in 1..24 {
             sim.inject(msg(0, src, 0, 64 * 1024));
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert_eq!(run.total_delivered(), 23 * 64 * 1024);
         // The hot ejection link must have saturated somewhere upstream.
         let total_sat: u64 = run.class_sat_ns(crate::config::LinkClass::Local)
@@ -586,7 +261,7 @@ mod tests {
                 sim.inject(msg(k * 1_000, src, dst, 4096));
             }
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert_eq!(run.total_delivered(), run.total_injected());
         assert_eq!(run.total_injected(), n as u64 * 10 * 4096);
         // Every packet takes ≥1 router hop; none lost.
@@ -609,8 +284,8 @@ mod tests {
             }
             sim
         };
-        let seq = build().run();
-        let par = build().run_parallel(4);
+        let seq = build().try_run().expect("run");
+        let par = build().try_run_parallel(4).expect("parallel run");
         assert_eq!(seq.events_processed, par.events_processed);
         assert_eq!(seq.end_time, par.end_time);
         assert_eq!(seq.total_delivered(), par.total_delivered());
@@ -728,9 +403,9 @@ mod tests {
             sim
         };
         let cs = Collector::enabled();
-        let seq = build().with_collector(cs.clone()).run();
+        let seq = build().with_collector(cs.clone()).try_run().expect("run");
         let cp = Collector::enabled();
-        let par = build().with_collector(cp.clone()).run_parallel(4);
+        let par = build().with_collector(cp.clone()).try_run_parallel(4).expect("parallel run");
 
         // The headline contract: both engines report identical
         // delivered-packet (and injected/byte/event) counters.
@@ -758,7 +433,7 @@ mod tests {
     fn run_data_carries_engine_stats() {
         let mut sim = Simulation::new(small_spec());
         sim.inject(msg(0, 0, 71, 10_000));
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         assert!(run.peak_queue_depth > 0);
         assert!(run.events_scheduled >= run.events_processed);
     }
@@ -775,7 +450,7 @@ mod tests {
             for src in 0..72u32 {
                 sim.inject(msg(0, src, (src + 36) % 72, 16 * 1024));
             }
-            let run = sim.run();
+            let run = sim.try_run().expect("run");
             assert_eq!(
                 run.total_delivered(),
                 72 * 16 * 1024,
@@ -792,7 +467,7 @@ mod tests {
             for src in 0..72u32 {
                 sim.inject(msg(0, src, (src + 36) % 72, 8192));
             }
-            let run = sim.run();
+            let run = sim.try_run().expect("run");
             let pkts: u64 = run.terminals.iter().map(|t| t.packets_finished).sum();
             let hops: f64 =
                 run.terminals.iter().map(|t| t.avg_hops * t.packets_finished as f64).sum::<f64>()
@@ -821,7 +496,7 @@ mod tests {
                 job,
             });
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         let stats = run.job_stats();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].name, "toy");
@@ -840,7 +515,7 @@ mod tests {
         for src in 0..72u32 {
             sim.inject(msg(0, src, (src + 7) % 72, 32 * 1024));
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         let series = run.series.as_ref().expect("sampling enabled");
         let total_term: u64 = series.traffic[0].total();
         assert_eq!(total_term, run.total_injected());
@@ -852,23 +527,13 @@ mod tests {
     }
 
     #[test]
-    fn horizon_stops_early() {
-        let mut sim = Simulation::new(small_spec());
-        for src in 0..72u32 {
-            sim.inject(msg(0, src, (src + 36) % 72, 1 << 20));
-        }
-        let run = sim.with_horizon(SimTime::micros(5)).run();
-        assert!(run.end_time <= SimTime::micros(5));
-        assert!(run.total_delivered() < run.total_injected());
-    }
-
-    #[test]
     fn no_deadlock_with_tiny_buffers_under_valiant_pressure() {
         // Failure injection for the VC discipline: buffers barely larger
         // than one packet, adversarial tornado traffic, and the two
         // detouring routings. Any cycle in the channel dependency graph
-        // would wedge this configuration; the event budget turns a wedge
-        // into a test failure instead of a hang.
+        // would wedge this configuration; the watchdog and the credit
+        // audit turn a wedge into a test failure, and the hop limit bounds
+        // livelock.
         for routing in [RoutingAlgorithm::NonMinimal, RoutingAlgorithm::par_default()] {
             let mut spec = small_spec().with_routing(routing);
             spec.vc_buffer_bytes = 3 * 1024; // ~1.5 packets per VC
@@ -876,8 +541,7 @@ mod tests {
             for src in 0..72u32 {
                 sim.inject(msg(0, src, (src + 36) % 72, 64 * 1024));
             }
-            let sim = sim.with_event_budget(50_000_000);
-            let run = sim.run();
+            let run = sim.try_run().expect("tiny buffers must not wedge");
             assert_eq!(
                 run.total_delivered(),
                 72 * 64 * 1024,
@@ -885,26 +549,6 @@ mod tests {
                 routing.name()
             );
         }
-    }
-
-    #[test]
-    fn horizon_finalizes_open_saturation_intervals() {
-        // Stop mid-congestion: saturation accounting must be closed at the
-        // horizon, never exceed it, and remain non-zero for the hot links.
-        let mut spec = small_spec();
-        spec.vc_buffer_bytes = 4 * 1024;
-        let mut sim = Simulation::new(spec);
-        for src in 1..36u32 {
-            sim.inject(msg(0, src, 0, 256 * 1024)); // incast on terminal 0
-        }
-        let run = sim.with_horizon(SimTime::micros(20)).run();
-        let horizon = run.end_time.as_nanos();
-        for l in run.local_links.iter().chain(&run.global_links) {
-            assert!(l.sat_ns <= horizon);
-        }
-        let total_sat: u64 = run.terminals.iter().map(|t| t.sat_ns).sum();
-        assert!(total_sat > 0, "incast must have saturated by the horizon");
-        assert!(run.terminals.iter().all(|t| t.sat_ns <= horizon));
     }
 
     #[test]
@@ -1152,7 +796,7 @@ mod tests {
         let spec = small_spec();
         let cfg = spec.topology;
         let sim = Simulation::new(spec);
-        let run = sim.run();
+        let run = sim.try_run().expect("run");
         // Directed local links: a routers each with a-1 peers per group.
         let a = cfg.routers_per_group as usize;
         let expect_local = cfg.groups as usize * a * (a - 1);

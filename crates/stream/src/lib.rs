@@ -80,4 +80,31 @@ impl<T> StreamedOutcome<T> {
             StreamedOutcome::Aborted { .. } => None,
         }
     }
+
+    /// Apply `f` to the completed payload; an abort passes through as is.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> StreamedOutcome<U> {
+        match self {
+            StreamedOutcome::Completed(t) => StreamedOutcome::Completed(f(t)),
+            StreamedOutcome::Aborted { reason, at_ns, slices } => {
+                StreamedOutcome::Aborted { reason, at_ns, slices }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::StreamedOutcome;
+
+    #[test]
+    fn map_transforms_completed_and_keeps_aborts() {
+        let done = StreamedOutcome::Completed(21u32).map(|n| n * 2);
+        assert!(matches!(done, StreamedOutcome::Completed(42)));
+        let stopped = StreamedOutcome::<u32>::Aborted { reason: "r".into(), at_ns: 5, slices: 2 }
+            .map(|n| n * 2);
+        assert!(matches!(
+            stopped,
+            StreamedOutcome::Aborted { reason, at_ns: 5, slices: 2 } if reason == "r"
+        ));
+    }
 }

@@ -347,28 +347,15 @@ impl RunConfig {
         sink: SliceSink<'_>,
     ) -> Result<StreamedOutcome<RunResult>, HrvizError> {
         match self.topology {
-            TopologyAxis::Dragonfly { terminals } => {
-                let sim = self.dragonfly_sim(terminals)?;
-                Ok(match sim.with_collector(hrviz_obs::get()).try_run_streamed(window, sink)? {
-                    StreamedOutcome::Completed(run) => {
-                        StreamedOutcome::Completed(dragonfly_result(&run))
-                    }
-                    StreamedOutcome::Aborted { reason, at_ns, slices } => {
-                        StreamedOutcome::Aborted { reason, at_ns, slices }
-                    }
-                })
-            }
-            TopologyAxis::FatTree { k } => {
-                let sim = self.fattree_sim(k)?;
-                Ok(match sim.try_run_streamed(window, sink)? {
-                    StreamedOutcome::Completed(run) => {
-                        StreamedOutcome::Completed(fattree_result(&run))
-                    }
-                    StreamedOutcome::Aborted { reason, at_ns, slices } => {
-                        StreamedOutcome::Aborted { reason, at_ns, slices }
-                    }
-                })
-            }
+            TopologyAxis::Dragonfly { terminals } => Ok(self
+                .dragonfly_sim(terminals)?
+                .with_collector(hrviz_obs::get())
+                .try_run_streamed(window, sink)?
+                .map(|run| dragonfly_result(&run))),
+            TopologyAxis::FatTree { k } => Ok(self
+                .fattree_sim(k)?
+                .try_run_streamed(window, sink)?
+                .map(|run| fattree_result(&run))),
         }
     }
 

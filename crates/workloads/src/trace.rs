@@ -7,7 +7,7 @@
 //! tool, plus writers so synthesized workloads can be persisted and
 //! re-simulated bit-identically.
 
-use hrviz_network::{JobId, MsgInjection, TerminalId};
+use hrviz_network::{MsgInjection, TerminalId};
 use hrviz_pdes::SimTime;
 use std::io::{BufRead, Write};
 
@@ -58,19 +58,25 @@ pub fn read_trace(r: impl BufRead) -> Result<Vec<MsgInjection>, TraceError> {
                 message: format!("expected 5 fields, got {}", fields.len()),
             });
         }
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, TraceError> {
-            s.parse()
-                .map_err(|_| TraceError { line: lineno, message: format!("bad {what}: {s:?}") })
-        };
         out.push(MsgInjection {
-            time: SimTime(parse_u64(fields[0], "time_ns")?),
-            src: TerminalId(parse_u64(fields[1], "src")? as u32),
-            dst: TerminalId(parse_u64(fields[2], "dst")? as u32),
-            bytes: parse_u64(fields[3], "bytes")?,
-            job: parse_u64(fields[4], "job")? as JobId,
+            time: SimTime(field(fields[0], "time_ns", lineno)?),
+            src: TerminalId(field(fields[1], "src", lineno)?),
+            dst: TerminalId(field(fields[2], "dst", lineno)?),
+            bytes: field(fields[3], "bytes", lineno)?,
+            job: field(fields[4], "job", lineno)?,
         });
     }
     Ok(out)
+}
+
+/// Parse one field straight into its own width, so a value that does not
+/// fit (a source above `u32::MAX`, a job above `u16::MAX`) is an error
+/// rather than a silent wrap.
+fn field<T: std::str::FromStr>(s: &str, what: &str, line: usize) -> Result<T, TraceError> {
+    s.parse().map_err(|_| TraceError {
+        line,
+        message: format!("bad {what}: {s:?} (not a {})", std::any::type_name::<T>()),
+    })
 }
 
 /// Convenience: read a trace file from disk.
@@ -138,6 +144,22 @@ mod tests {
     }
 
     #[test]
+    fn rejects_values_wider_than_their_field() {
+        for (row, what) in [
+            ("0,4294967296,1,8,0", "src"),
+            ("0,1,4294967297,8,0", "dst"),
+            ("0,1,2,8,65536", "job"),
+            ("0,1,2,18446744073709551616,0", "bytes"),
+            ("0,-1,2,8,0", "src"),
+        ] {
+            let text = format!("{TRACE_HEADER}\n0,1,2,8,65535\n{row}\n");
+            let err = read_trace(text.as_bytes()).expect_err(row);
+            assert_eq!(err.line, 3, "{row}");
+            assert!(err.message.contains(what), "{row}: {err}");
+        }
+    }
+
+    #[test]
     fn file_roundtrip_and_simulation() {
         use hrviz_network::{DragonflyConfig, NetworkSpec, Simulation};
         let dir = std::env::temp_dir().join("hrviz_trace_test");
@@ -150,7 +172,7 @@ mod tests {
         // Loaded traces drive a simulation directly.
         let mut sim = Simulation::new(NetworkSpec::new(DragonflyConfig::canonical(2)));
         sim.inject_all(loaded);
-        let run = sim.run();
+        let run = sim.try_run().expect("simulation completes");
         assert_eq!(run.total_delivered(), 4096 + 123);
         std::fs::remove_file(&path).ok();
     }

@@ -79,7 +79,7 @@ fn main() {
             seed: 1,
         },
     ));
-    let run = sim.run();
+    let run = sim.try_run().expect("simulation completes");
     let ds = DataSet::builder(&run).build();
     let view = build_view(&ds, &spec).unwrap_or_else(|e| {
         eprintln!("script incompatible with dataset: {e}");

@@ -51,7 +51,7 @@ fn run(policies: [PlacementPolicy; 2]) -> RunData {
         debug_assert_eq!(id as usize, i);
         sim.inject_all(generate_synthetic(id, job, &cfg));
     }
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 fn main() {

@@ -50,7 +50,7 @@ fn main() {
     ));
 
     // 3. Run (packet level, credit flow control, adaptive routing).
-    let run = sim.run();
+    let run = sim.try_run().expect("simulation completes");
     println!(
         "simulated {} events to t={}; delivered {} / {} bytes",
         run.events_processed,

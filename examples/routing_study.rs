@@ -37,7 +37,7 @@ fn run(routing: RoutingAlgorithm) -> RunData {
             seed: 3,
         },
     ));
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 fn main() {

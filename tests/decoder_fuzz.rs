@@ -17,10 +17,12 @@ use std::sync::OnceLock;
 
 use hrviz_faults::{FaultEvent, FaultSchedule, HrvizError};
 use hrviz_lint::{Baseline, Finding};
+use hrviz_network::{MsgInjection, TerminalId};
 use hrviz_obs::{fingerprint64, Collector, Json};
 use hrviz_pdes::SimTime;
 use hrviz_stream::{Progress, Slice, SliceWriter};
 use hrviz_sweep::{RunState, RunStore, SweepJournal, SweepSpec, TopologyAxis};
+use hrviz_workloads::{read_trace, write_trace};
 
 /// A deterministic mutation of `text`, chosen by `case`.
 fn mutate(text: &str, case: u64) -> String {
@@ -97,6 +99,29 @@ fn schedules(cases: Range<u64>) {
             true
         }
         Err(e) => parse_error(e),
+    });
+}
+
+fn traces(cases: Range<u64>) {
+    let msgs: Vec<MsgInjection> = (0..40u32)
+        .map(|i| MsgInjection {
+            time: SimTime(u64::from(i) * 997),
+            src: TerminalId(i % 72),
+            dst: TerminalId((i * 7 + 3) % 72),
+            bytes: 64 << (i % 8),
+            job: (i % 3) as u16,
+        })
+        .collect();
+    let mut doc = Vec::new();
+    write_trace(&mut doc, &msgs).unwrap();
+    fuzz(&String::from_utf8(doc).unwrap(), cases, |text| match read_trace(text.as_bytes()) {
+        Ok(m) => {
+            let mut again = Vec::new();
+            write_trace(&mut again, &m).unwrap();
+            assert_eq!(read_trace(again.as_slice()).unwrap(), m);
+            true
+        }
+        Err(e) => text_error(e.to_string()),
     });
 }
 
@@ -312,6 +337,11 @@ fn fault_schedule_mutations_never_panic() {
 }
 
 #[test]
+fn trace_csv_mutations_never_panic() {
+    traces(0..500);
+}
+
+#[test]
 fn progress_mutations_never_panic() {
     progress(0..500);
 }
@@ -346,6 +376,7 @@ fn column_file_mutations_never_panic() {
 fn decoder_mutations_never_panic_soak() {
     let cases = 500..50_500;
     schedules(cases.clone());
+    traces(cases.clone());
     progress(cases.clone());
     slice_segments(cases.clone());
     journals(cases.clone());

@@ -30,7 +30,7 @@ fn dragonfly_bytes() -> String {
         &meta,
         &SyntheticConfig::uniform(4 * 1024, 6, SimTime::micros(1)),
     ));
-    let run = sim.run();
+    let run = sim.try_run().expect("simulation completes");
     format!(
         "injected={} delivered={} dataset={:?}",
         run.total_injected(),
@@ -51,7 +51,7 @@ fn fattree_bytes() -> String {
         &meta,
         &SyntheticConfig::uniform(4 * 1024, 6, SimTime::micros(1)),
     ));
-    let run = sim.run();
+    let run = sim.try_run().expect("simulation completes");
     format!(
         "injected={} delivered={} dataset={:?}",
         run.injected_bytes(),

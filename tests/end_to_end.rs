@@ -33,7 +33,7 @@ fn simulate(seed: u64) -> RunData {
         &jobs[0],
         &SyntheticConfig::uniform(8 * 1024, 12, SimTime::micros(2)),
     ));
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 #[test]
@@ -99,8 +99,8 @@ fn parallel_engine_reproduces_sequential_run() {
         ));
         sim
     };
-    let seq = build().run();
-    let par = build().run_parallel(6);
+    let seq = build().try_run().expect("simulation completes");
+    let par = build().try_run_parallel(6).expect("parallel run completes");
     assert_eq!(seq.events_processed, par.events_processed);
     assert_eq!(seq.end_time, par.end_time);
     for (a, b) in seq.local_links.iter().zip(&par.local_links) {

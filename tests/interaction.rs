@@ -31,7 +31,7 @@ fn sampled_run() -> RunData {
             m
         }));
     }
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 fn spec() -> ProjectionSpec {

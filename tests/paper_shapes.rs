@@ -37,7 +37,7 @@ fn run_pattern(pattern: TrafficPattern, routing: RoutingAlgorithm) -> RunData {
             seed: 5,
         },
     ));
-    sim.run()
+    sim.try_run().expect("simulation completes")
 }
 
 fn mean_hops(run: &RunData) -> f64 {

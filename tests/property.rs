@@ -51,7 +51,7 @@ proptest! {
                 job: 0,
             });
         }
-        let run = sim.run();
+        let run = sim.try_run().expect("simulation completes");
         prop_assert_eq!(run.total_delivered(), expect);
         for t in &run.terminals {
             // Hops on any legal path: 1..=6 routers.
@@ -92,8 +92,8 @@ proptest! {
             }
             sim
         };
-        let seq = build(&msgs).run();
-        let par = build(&msgs).run_parallel(parts);
+        let seq = build(&msgs).try_run().expect("simulation completes");
+        let par = build(&msgs).try_run_parallel(parts).expect("parallel run completes");
         prop_assert_eq!(seq.events_processed, par.events_processed);
         prop_assert_eq!(seq.end_time, par.end_time);
         for (a, b) in seq.terminals.iter().zip(&par.terminals) {
@@ -168,7 +168,7 @@ proptest! {
                 job: 0,
             });
         }
-        let ds = DataSet::builder(&sim.run()).build();
+        let ds = DataSet::builder(&sim.try_run().expect("simulation completes")).build();
         let view = build_view(&ds, &spec).expect("valid spec builds");
         for (ring, lv) in view.rings.iter().zip(&spec.levels) {
             let mut covered = 0usize;
