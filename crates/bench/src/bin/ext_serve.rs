@@ -1,7 +1,6 @@
 //! Extension: serving the run store (EXPERIMENTS.md `ext_serve`). Sweeps
-//! the same 2-run grid (72-terminal Dragonfly, minimal vs adaptive) into
-//! a flat store and a 4-shard store, binds `hrviz-serve` on loopback
-//! ports with 4 workers, and measures:
+//! a 2-run grid (72-terminal Dragonfly, minimal vs adaptive) into a store,
+//! binds `hrviz-serve` on a loopback port with 4 workers, and measures:
 //!
 //! * the caching ladder from a real TCP client — cold `POST /views`
 //!   (disk load + aggregate + project + render), the warm byte-identical
@@ -9,8 +8,8 @@
 //! * sustained warm throughput over pipelined keep-alive connections
 //!   (the ROADMAP `≥100k req/s` target) and tail latency under a 2×
 //!   overload burst;
-//! * paged-view determinism: a cursor walk against the 4-shard store is
-//!   byte-identical (node for node) to the flat store's unpaged reply.
+//! * paged-view determinism: a cursor walk is byte-identical (node for
+//!   node) to the unpaged reply.
 //!
 //! Latencies, the cold/warm speedup, the sustained rate, and the p99 are
 //! printed.
@@ -201,13 +200,9 @@ fn overload_p99(addr: SocketAddr, path: &str, tag: &str) -> (f64, u64) {
     (p99, errors)
 }
 
-fn build_store(dir: &Path, shards: u32) -> RunStore {
+fn build_store(dir: &Path) -> RunStore {
     let _ = std::fs::remove_dir_all(dir);
-    let store = if shards > 1 {
-        RunStore::open_sharded(dir, shards).expect("open sharded store")
-    } else {
-        RunStore::open(dir).expect("open store")
-    };
+    let store = RunStore::open(dir).expect("open store");
     let spec = SweepSpec::new("ext_serve", TopologyAxis::Dragonfly { terminals: 72 })
         .routings([RoutingAlgorithm::Minimal, RoutingAlgorithm::adaptive_default()])
         .msgs_per_rank(8)
@@ -215,11 +210,7 @@ fn build_store(dir: &Path, shards: u32) -> RunStore {
         .period(SimTime::micros(2));
     let engine = SweepEngine::new(store).with_workers(2);
     engine.run(&spec).expect("sweep the store");
-    if shards > 1 {
-        RunStore::open_sharded(dir, shards).expect("reopen store")
-    } else {
-        RunStore::open(dir).expect("reopen store")
-    }
+    RunStore::open(dir).expect("reopen store")
 }
 
 fn bind(
@@ -281,7 +272,7 @@ fn main() {
     let out = out_dir();
     let t0 = Instant::now();
 
-    let store = build_store(&out.join("store_ext_serve"), 1);
+    let store = build_store(&out.join("store_ext_serve"));
     let runs = store.runs().expect("list runs");
     assert_eq!(runs.len(), 2, "two configs, two runs");
     let sweep_wall = t0.elapsed().as_secs_f64();
@@ -320,23 +311,16 @@ fn main() {
     let (p99_s, overload_errors) = overload_p99(addr, &views_path, &tag);
     println!("  overload p99:      {:>8.1} µs  ({OVERLOAD_CLIENTS} clients)", p99_s * 1e6);
 
-    // Paged walk against a 4-shard store vs the flat unpaged baseline.
+    // Paged walk vs the unpaged baseline, on the same server.
     let (flat_nodes, flat_env) = walk_pages(addr, &runs[0], 0);
+    let (paged_nodes, paged_env) = walk_pages(addr, &runs[0], 16);
     handle.shutdown();
     let report = serve_thread.join().expect("serve thread");
-
-    let sharded = build_store(&out.join("store_ext_serve_s4"), 4);
-    assert_eq!(sharded.shard_count(), 4);
-    let sharded_runs = sharded.runs().expect("list sharded runs");
-    let (shard_addr, shard_handle, shard_thread) = bind(sharded);
-    let (paged_nodes, paged_env) = walk_pages(shard_addr, &runs[0], 16);
-    shard_handle.shutdown();
-    let shard_report = shard_thread.join().expect("sharded serve thread");
     let pages_identical = flat_nodes == paged_nodes && flat_env == paged_env;
     println!(
-        "  shard identity:    {} node bytes, {}",
+        "  paging identity:   {} node bytes, {}",
         flat_nodes.len(),
-        if pages_identical { "4-shard paged walk == flat unpaged" } else { "MISMATCH" }
+        if pages_identical { "paged walk == unpaged" } else { "MISMATCH" }
     );
 
     let speedup = cold_s / warm_s.max(1e-9);
@@ -357,11 +341,8 @@ fn main() {
     exp.check("pipelined warm burst: every response a 304", pipeline_errors == 0);
     exp.check("overload burst: no errors", overload_errors == 0);
     exp.check("overload p99 bounded (≤50 ms at 2× workers)", p99_s <= 0.050);
-    exp.check(
-        "4-shard paged walk byte-identical to flat unpaged baseline",
-        pages_identical && sharded_runs == runs,
-    );
-    exp.check("nothing shed at 4 workers", report.shed == 0 && shard_report.shed == 0);
+    exp.check("paged walk byte-identical to unpaged baseline", pages_identical);
+    exp.check("nothing shed at 4 workers", report.shed == 0);
     let ok = exp.finish("ext_serve");
 
     std::process::exit(i32::from(!ok));

@@ -165,8 +165,6 @@ pub const USAGE: &str = "usage: hrviz <view|trace|compare|sweep|serve|fsck|watch
           [--routings R1,R2[,..]] [--patterns P1,P2[,..]] [--seeds S1,S2[,..]]
           [--store DIR] [--workers N] [--report DIR] [--name NAME]
           [--msgs N] [--bytes N] [--period-us N]
-          [--shards N (spread the store over N consistent-hashed shard
-           directories with independent generation counters)]
           [--resume (skip completed runs, retry failed/orphaned ones with
            deterministic seeded backoff — safe after a kill -9)]
           [--slice-every-us N (live telemetry: seal a counter slice per N
@@ -259,7 +257,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
             "report",
             "name",
             "resume",
-            "shards",
             "slice-every-us",
             "abort-policy",
         ]),
@@ -839,15 +836,7 @@ fn dispatch(cli: &Cli) -> Result<RunOutput, HrvizError> {
             let resume = cli.options.contains_key("resume");
             let store_dir =
                 cli.options.get("store").cloned().unwrap_or_else(|| "out/store".to_string());
-            let store = match cli.options.get("shards") {
-                Some(n) => {
-                    let shards: u32 =
-                        n.parse().map_err(|_| HrvizError::usage("--shards must be a number"))?;
-                    RunStore::open_sharded(&store_dir, shards)?
-                }
-                None => RunStore::open(&store_dir)?,
-            };
-            let engine = SweepEngine::new(store).with_workers(workers);
+            let engine = SweepEngine::new(RunStore::open(&store_dir)?).with_workers(workers);
             let stream = stream_options_of(cli)?;
             let base = if resume { SweepOptions::resume() } else { SweepOptions::default() };
             let opts = SweepOptions { stream, ..base };
@@ -1867,42 +1856,6 @@ mod tests {
         assert!(!torn.exists(), "torn run should have moved to quarantine");
         // …after which the store is clean again.
         assert!(run(&cli).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_shards_flag_spreads_the_store() {
-        let dir = std::env::temp_dir().join(format!("hrviz_cli_shards_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = dir.join("store");
-        let report = dir.join("reports");
-        let argv = args(&[
-            "sweep",
-            "--terminals",
-            "72",
-            "--routings",
-            "minimal,adaptive",
-            "--patterns",
-            "tornado",
-            "--msgs",
-            "2",
-            "--bytes",
-            "1024",
-            "--shards",
-            "4",
-            "--store",
-            store.to_str().unwrap(),
-            "--report",
-            report.to_str().unwrap(),
-        ]);
-        let cli = parse_args(&argv).unwrap();
-        let cold = run(&cli).unwrap();
-        assert_eq!(cold.metric_value("store_misses"), Some(2.0));
-        assert!(store.join("shards").is_dir(), "sharded layout on disk");
-        // Re-opening with the same flag finds every run: all hits.
-        let warm = run(&cli).unwrap();
-        assert_eq!(warm.metric_value("store_hits"), Some(2.0));
-        assert_eq!(warm.metric_value("store_misses"), Some(0.0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

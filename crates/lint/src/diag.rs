@@ -1,8 +1,6 @@
-//! Human and JSON renderings of a lint run (SARIF lives in
-//! [`crate::sarif`]).
+//! Human and JSON renderings of a lint run.
 
 use crate::rules::Finding;
-use crate::LintStats;
 use hrviz_obs::Json;
 use std::fmt::Write as _;
 
@@ -30,10 +28,9 @@ pub fn human(findings: &[Finding]) -> (String, usize) {
     (out, active)
 }
 
-/// Machine-readable report for the CI gate. `stats` feeds the CI
-/// warm-cache assertion (a second run over unchanged sources must report
-/// `"parsed":0`).
-pub fn json(findings: &[Finding], stats: LintStats) -> String {
+/// Machine-readable report for the CI gate; `files` is the size of the
+/// scan set.
+pub fn json(findings: &[Finding], files: usize) -> String {
     let active = findings.iter().filter(|f| !f.baselined).count();
     let s = |v: &str| Json::Str(v.to_string());
     let items = findings.iter().map(|f| {
@@ -51,14 +48,7 @@ pub fn json(findings: &[Finding], stats: LintStats) -> String {
         ("findings", Json::Arr(items.collect())),
         ("active", Json::from(active)),
         ("grandfathered", Json::from(findings.len() - active)),
-        (
-            "stats",
-            Json::obj([
-                ("files", Json::from(stats.files)),
-                ("parsed", Json::from(stats.parsed)),
-                ("cache_hits", Json::from(stats.cache_hits)),
-            ]),
-        ),
+        ("stats", Json::obj([("files", Json::from(files))])),
     ]);
     doc.render() + "\n"
 }

@@ -1,14 +1,13 @@
-//! Per-file analysis facts — the unit of the incremental cache.
+//! Per-file analysis facts.
 //!
 //! A [`FileFacts`] holds everything one file contributes to a lint run:
 //! its local findings plus the raw material the *global* passes consume
 //! (lock-acquisition edges for the cycle pass, metric-write sites for
-//! the counter-drift pass). The global passes always re-run over the
-//! collected facts, so cross-file rules stay correct even when every
-//! per-file result came from the cache.
+//! the counter-drift pass). The global passes run over the facts of
+//! every file.
 //!
-//! Facts serialize to the cache file and parse back through
-//! [`hrviz_obs::Json`], the workspace's one JSON codec.
+//! Facts serialize and parse back through [`hrviz_obs::Json`], the
+//! workspace's one JSON codec.
 
 use crate::rules::{rule, Finding};
 use hrviz_obs::Json;
@@ -48,7 +47,7 @@ pub struct FileFacts {
 }
 
 impl FileFacts {
-    /// Serialize as a JSON object (one cache entry value).
+    /// Serialize as a JSON object.
     pub fn to_json(&self) -> Json {
         let s = |v: &str| Json::Str(v.to_string());
         let findings = self.findings.iter().map(|f| {
@@ -87,8 +86,8 @@ impl FileFacts {
         ])
     }
 
-    /// Parse a cache entry back. Unknown rule ids (a removed rule) fail
-    /// the parse, which invalidates the entry and forces a re-analysis.
+    /// Inverse of [`FileFacts::to_json`]. Unknown rule ids (a removed
+    /// rule) fail the parse.
     pub fn from_json(j: &Json) -> Option<FileFacts> {
         let mut facts = FileFacts::default();
         for f in j.get("findings")?.as_array()? {

@@ -2,9 +2,7 @@
 
 #![forbid(unsafe_code)]
 
-use hrviz_lint::{
-    apply_baseline, baseline_findings, diag, lint_workspace_with, sarif, Baseline, RULES,
-};
+use hrviz_lint::{apply_baseline, baseline_findings, diag, lint_workspace_with, Baseline, RULES};
 use hrviz_obs::Collector;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -25,13 +23,11 @@ USAGE:
 
 OPTIONS:
     --check              exit 1 if any non-grandfathered finding remains
-    --format <human|json|sarif>  report format (default human)
+    --format <FMT>       report format: human (default) or json
     --root <DIR>         workspace root (default: nearest ancestor with crates/)
     --baseline <FILE>    grandfather list (default <root>/lint-baseline.json)
     --fix-baseline       rewrite the baseline to the current findings
                          (drops stale entries; --update-baseline is an alias)
-    --cache <FILE>       incremental cache (default <root>/target/hrviz-lint-cache.json)
-    --no-cache           analyze every file from scratch
     --list-rules         print the rule catalog and exit
     --help               this text
 ";
@@ -40,7 +36,6 @@ OPTIONS:
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 struct Opts {
@@ -48,8 +43,6 @@ struct Opts {
     format: Format,
     root: Option<PathBuf>,
     baseline: Option<PathBuf>,
-    cache: Option<PathBuf>,
-    no_cache: bool,
     fix_baseline: bool,
     list_rules: bool,
 }
@@ -60,8 +53,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         format: Format::Human,
         root: None,
         baseline: None,
-        cache: None,
-        no_cache: false,
         fix_baseline: false,
         list_rules: false,
     };
@@ -70,13 +61,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--check" => o.check = true,
             "--fix-baseline" | "--update-baseline" => o.fix_baseline = true,
-            "--no-cache" => o.no_cache = true,
             "--list-rules" => o.list_rules = true,
             "--format" => match it.next().map(String::as_str) {
                 Some("json") => o.format = Format::Json,
                 Some("human") => o.format = Format::Human,
-                Some("sarif") => o.format = Format::Sarif,
-                other => return Err(format!("--format expects human|json|sarif, got {other:?}")),
+                other => return Err(format!("--format expects human|json, got {other:?}")),
             },
             "--root" => match it.next() {
                 Some(p) => o.root = Some(PathBuf::from(p)),
@@ -85,10 +74,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--baseline" => match it.next() {
                 Some(p) => o.baseline = Some(PathBuf::from(p)),
                 None => return Err("--baseline expects a file".into()),
-            },
-            "--cache" => match it.next() {
-                Some(p) => o.cache = Some(PathBuf::from(p)),
-                None => return Err("--cache expects a file".into()),
             },
             "--help" | "-h" => {
                 out(USAGE);
@@ -123,14 +108,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let baseline_path = opts.baseline.clone().unwrap_or_else(|| root.join("lint-baseline.json"));
-    let cache_path = if opts.no_cache {
-        None
-    } else {
-        Some(opts.cache.clone().unwrap_or_else(|| root.join("target/hrviz-lint-cache.json")))
-    };
 
     let obs = Collector::enabled();
-    let run = match lint_workspace_with(&root, cache_path.as_deref(), &obs) {
+    let run = match lint_workspace_with(&root, &obs) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("hrviz-lint: scan failed: {e}");
@@ -176,15 +156,11 @@ fn main() -> ExitCode {
 
     let active = findings.iter().filter(|f| !f.baselined).count();
     match opts.format {
-        Format::Json => out(&diag::json(&findings, run.stats)),
-        Format::Sarif => out(&sarif::render(&findings)),
+        Format::Json => out(&diag::json(&findings, run.files)),
         Format::Human => {
             let (report, _) = diag::human(&findings);
             out(&report);
-            out(&format!(
-                "hrviz-lint: {} files ({} parsed, {} from cache)\n",
-                run.stats.files, run.stats.parsed, run.stats.cache_hits
-            ));
+            out(&format!("hrviz-lint: {} files\n", run.files));
         }
     }
 

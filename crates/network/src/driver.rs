@@ -13,27 +13,29 @@ use crate::events::NetEvent;
 use crate::node::{Node, Switch};
 use hrviz_faults::{FaultSchedule, HrvizError};
 use hrviz_obs::{Collector, Json};
-use hrviz_pdes::wire::SnapshotError;
+use hrviz_pdes::wire::{SnapshotError, WireReader, WireWriter};
 use hrviz_pdes::{Engine, EngineStats, LpId, ParallelEngine, RunOutcome, SimTime};
 use hrviz_stream::{CumulativeTotals, SliceControl, SliceCursor, SliceSink, StreamedOutcome};
 
 /// Receives each checkpoint a checkpointed run takes: the (absolute)
-/// virtual-time boundary and the snapshot bytes.
+/// virtual-time boundary and the checkpoint bytes, which carry that
+/// boundary ahead of the engine snapshot.
 pub type CheckpointSink<'a> = &'a mut dyn FnMut(SimTime, &[u8]) -> Result<(), HrvizError>;
 
 /// Checkpoint/restore options for [`Simulation::try_run_checkpointed`](crate::Simulation::try_run_checkpointed).
 #[derive(Default)]
 pub struct CheckpointOptions<'a> {
-    /// Restore engine state from this snapshot (bytes produced by an
+    /// Restore engine state from this checkpoint (bytes produced by an
     /// earlier checkpoint of an identically configured simulation) before
-    /// running. The simulation must be rebuilt with the same spec,
+    /// running, and resume the boundary grid after the boundary it was
+    /// taken at. The simulation must be rebuilt with the same spec,
     /// injections, jobs, and fault schedule — only dynamic state rides in
-    /// the snapshot.
+    /// the checkpoint.
     pub restore_from: Option<&'a [u8]>,
     /// Snapshot every this much virtual time. Boundaries are absolute
     /// multiples of the interval, so an interrupted-then-restored run
-    /// checkpoints at the same virtual times — with byte-identical
-    /// snapshots — as a straight-through run.
+    /// takes exactly the straight-through run's checkpoints after its own
+    /// boundary, byte for byte.
     pub every: Option<SimTime>,
 }
 
@@ -51,13 +53,38 @@ pub enum Mode<'a> {
     /// (instead of broadcasting the faults, which ride in the snapshot),
     /// and stopping at every absolute multiple of `grid`'s interval.
     Serial {
-        /// Snapshot bytes to resume from.
+        /// Checkpoint bytes to resume from.
         restore_from: Option<&'a [u8]>,
         /// The boundary interval and what to do at each boundary.
         grid: Option<(SimTime, Boundary<'a>)>,
     },
     /// The conservative parallel engine on this many partitions.
     Parallel(usize),
+}
+
+/// Leads every checkpoint: the boundary and the engine snapshot follow.
+/// Differs from the engine snapshot's own magic, so a bare snapshot is
+/// refused instead of being resumed at the wrong boundary.
+const CHECKPOINT_MAGIC: u32 = 0x6872_7643;
+
+fn encode_checkpoint(bound: u64, snapshot: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_u32(CHECKPOINT_MAGIC);
+    w.put_u64(bound);
+    w.put_bytes(snapshot);
+    w.into_bytes()
+}
+
+/// Inverse of [`encode_checkpoint`]: the boundary and the engine snapshot.
+fn decode_checkpoint(bytes: &[u8]) -> Result<(u64, &[u8]), SnapshotError> {
+    let mut r = WireReader::new(bytes);
+    if r.u32()? != CHECKPOINT_MAGIC {
+        return Err(SnapshotError::Corrupt("bad checkpoint magic".into()));
+    }
+    let bound = r.u64()?;
+    let snapshot = r.bytes()?;
+    r.finish()?;
+    Ok((bound, snapshot))
 }
 
 fn snapshot_to_hrviz(e: SnapshotError) -> HrvizError {
@@ -127,9 +154,14 @@ pub fn drive<S: Switch, R>(
             }
             let mut engine = Engine::new(nodes, lookahead);
             engine.set_collector(collector.clone());
+            // The boundary the run resumes from: its checkpoint's, not the
+            // restored clock, which is the last event at or before it.
+            let mut start = 0;
             match restore_from {
                 Some(bytes) => {
-                    engine.restore(bytes).map_err(snapshot_to_hrviz)?;
+                    let (bound, snapshot) = decode_checkpoint(bytes).map_err(snapshot_to_hrviz)?;
+                    engine.restore(snapshot).map_err(snapshot_to_hrviz)?;
+                    start = bound;
                     collector.counter_add("sim/checkpoint_restores", 1);
                 }
                 None => broadcast(&mut |t, lp, ev| engine.schedule(t, lp, ev)),
@@ -142,7 +174,7 @@ pub fn drive<S: Switch, R>(
                 // straight-through runs, and every observer of a streamed
                 // config, share it.
                 let every = every.as_nanos();
-                let mut next = engine.now().as_nanos() / every + 1;
+                let mut next = start / every + 1;
                 loop {
                     let bound = next.saturating_mul(every);
                     if engine.try_run_until(SimTime(bound))? != RunOutcome::TimeBound {
@@ -152,7 +184,7 @@ pub fn drive<S: Switch, R>(
                         Boundary::Checkpoint(sink) => {
                             let snap = engine.snapshot().map_err(snapshot_to_hrviz)?;
                             collector.counter_add("sim/checkpoints", 1);
-                            sink(SimTime(bound), &snap)?;
+                            sink(SimTime(bound), &encode_checkpoint(bound, &snap))?;
                         }
                         Boundary::Slice(sink) => {
                             let cur = totals(engine.lps(), terminals);

@@ -728,14 +728,14 @@ mod tests {
             )
             .expect("resumed run");
 
-        // The resumed run revisits the same absolute boundaries — including
-        // re-emitting t0 itself — with byte-identical snapshots.
-        assert_eq!(resumed_cp.len(), straight.len());
-        for ((ta, a), (tb, b)) in straight.iter().zip(&resumed_cp) {
+        // The resumed run takes the same absolute boundaries after t0 —
+        // and not t0 itself — with byte-identical checkpoints.
+        assert_eq!(resumed_cp.len(), straight.len() - 1);
+        for ((ta, a), (tb, b)) in straight[1..].iter().zip(&resumed_cp) {
             assert_eq!(ta, tb, "checkpoint boundaries diverged");
             assert!(a == b, "checkpoint bytes at {ta:?} diverged");
         }
-        assert_eq!(resumed_cp[0].0, t0);
+        assert!(resumed_cp.iter().all(|(t, _)| *t > t0));
 
         // And the final results are indistinguishable, down to every
         // per-terminal/per-link record, bin, and engine stat.
@@ -789,6 +789,30 @@ mod tests {
             )
             .expect_err("garbage snapshot must be rejected");
         assert!(err.to_string().contains("checkpoint"), "got {err}");
+
+        // A bare engine snapshot (the checkpoint format before checkpoints
+        // carried their boundary) is refused with the same structured error.
+        let mut cps = Vec::new();
+        checkpointable_sim()
+            .try_run_checkpointed(
+                CheckpointOptions { restore_from: None, every: Some(SimTime::micros(4)) },
+                &mut |_, bytes| {
+                    cps.push(bytes.to_vec());
+                    Ok(())
+                },
+            )
+            .expect("straight-through run");
+        let bare = &cps[0][20..]; // magic, boundary, snapshot length
+        let err = checkpointable_sim()
+            .try_run_checkpointed(
+                CheckpointOptions { restore_from: Some(bare), every: None },
+                &mut |_, _| Ok(()),
+            )
+            .expect_err("a bare engine snapshot must be rejected");
+        assert!(
+            matches!(&err, HrvizError::Parse { what, .. } if what == "engine checkpoint"),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -87,7 +87,10 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_and_sensitive() {
+        // Published FNV-1a test vectors: run ids are FNV-1a hashes.
         assert_eq!(fingerprint64(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fingerprint64("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fingerprint64("foobar"), 0x8594_4171_f739_67e8);
         assert_eq!(fingerprint64("abc"), fingerprint64("abc"));
         assert_ne!(fingerprint64("abc"), fingerprint64("abd"));
     }

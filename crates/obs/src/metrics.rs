@@ -64,7 +64,6 @@ const fn h(name: &'static str, help: &'static str) -> MetricDef {
 pub const METRICS: &[MetricDef] = &[
     c("core/agg_cache_hit", "aggregate-cache lookups answered without projecting"),
     c("core/agg_cache_miss", "aggregate-cache lookups that ran the projection pipeline"),
-    c("lint/cache_hits", "lint files answered from the incremental cache without re-parsing"),
     c("lint/files_parsed", "lint files tokenized and analyzed this run"),
     c("net/bytes_delivered", "payload bytes delivered to terminals"),
     c("net/bytes_injected", "payload bytes injected by workloads"),

@@ -57,7 +57,7 @@ struct GraphCache {
     order: VecDeque<GraphCacheKey>,
 }
 
-/// A validated snapshot of one shard's `GENERATION` file: the counter
+/// A validated snapshot of the store's `GENERATION` file: the counter
 /// value plus the file identity it was read from. `GENERATION` is only
 /// ever replaced whole (temp + rename), so a matching identity proves
 /// the cached value is current without opening the file.
@@ -112,7 +112,7 @@ pub struct App {
     datasets: Mutex<DataCache>,
     graphs: Mutex<GraphCache>,
     flights: SingleFlight<CachedBody>,
-    generations: Mutex<Vec<(GenFileId, u64)>>,
+    generation: Mutex<(GenFileId, u64)>,
     /// Each listed run's lifecycle state (`None`: no servable manifest),
     /// against the identity of the `manifest.json` it was read from.
     run_states: Mutex<BTreeMap<String, (GenFileId, Option<RunState>)>>,
@@ -130,7 +130,7 @@ impl App {
             datasets: Mutex::new(DataCache { map: BTreeMap::new(), order: VecDeque::new() }),
             graphs: Mutex::new(GraphCache { map: BTreeMap::new(), order: VecDeque::new() }),
             flights: SingleFlight::new(),
-            generations: Mutex::new(Vec::new()),
+            generation: Mutex::new((GenFileId::Missing, 0)),
             run_states: Mutex::new(BTreeMap::new()),
             hub: StreamHub::new(),
         }
@@ -146,28 +146,20 @@ impl App {
         &self.hub
     }
 
-    /// The store generation, through a stat-validated per-shard cache:
-    /// one `metadata` call per shard instead of an open/read/parse of
-    /// every `GENERATION` file on every request. A bump rewrites the
-    /// file via temp + rename (new inode, new mtime), which invalidates
-    /// the cached value immediately — the paging 409 contract holds.
+    /// The store generation, through a stat-validated cache: one
+    /// `metadata` call instead of an open/read/parse of `GENERATION` on
+    /// every request. A bump rewrites the file via temp + rename (new
+    /// inode, new mtime), which invalidates the cached value immediately
+    /// — the paging 409 contract holds.
     fn generation(&self) -> u64 {
-        let shards = self.store.shard_count();
-        // Stat every GENERATION file *before* taking the cache lock: the
-        // filesystem round-trips must not serialize concurrent requests.
-        let ids: Vec<GenFileId> = (0..shards)
-            .map(|shard| GenFileId::stat(&self.store.shard_root(shard).join("GENERATION")))
-            .collect();
-        let mut cache = self.generations.lock().unwrap_or_else(PoisonError::into_inner);
-        cache.resize(shards as usize, (GenFileId::Missing, 0));
-        let mut total = 0u64;
-        for ((shard, id), slot) in (0..shards).zip(ids).zip(cache.iter_mut()) {
-            if id != slot.0 {
-                *slot = (id, self.store.shard_generation(shard));
-            }
-            total += slot.1;
+        // Stat *before* taking the cache lock: the filesystem round-trip
+        // must not serialize concurrent requests.
+        let id = GenFileId::stat(&self.store.root().join("GENERATION"));
+        let mut slot = self.generation.lock().unwrap_or_else(PoisonError::into_inner);
+        if id != slot.0 {
+            *slot = (id, self.store.generation());
         }
-        total
+        slot.1
     }
 
     /// A fingerprint over the `progress.json` file identity of every run
@@ -844,9 +836,9 @@ impl App {
 }
 
 /// Content-addressed source fingerprint: run ids + script. Independent
-/// of shard layout and store generation, so graph node ids (and the node
-/// content of every page) are identical across shard counts and across
-/// serial/parallel sweeps over the same configurations.
+/// of store generation, so graph node ids (and the node content of every
+/// page) are identical across serial/parallel sweeps over the same
+/// configurations.
 fn source_hash(runs: &[String], script_fp: &str) -> u64 {
     fingerprint64(&format!("{}|{script_fp}", runs.join(",")))
 }

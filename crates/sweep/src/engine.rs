@@ -2,7 +2,7 @@
 //!
 //! [`SweepEngine::run`] expands a [`SweepSpec`], splits the grid into
 //! store hits (already `completed` — content address present) and misses,
-//! shards the misses across a fixed-width worker pool, and persists each
+//! spreads the misses across a fixed-width worker pool, and persists each
 //! run *as it finishes*: `running` manifest → simulate → atomic
 //! `completed` save (or `failed` manifest). Progress also lands in a
 //! [`SweepJournal`] under `<store>/sweeps/`, so a `kill -9` mid-grid loses
@@ -190,38 +190,14 @@ impl SweepEngine {
             // Every run is already complete. If a crashed predecessor
             // journaled a bump intent but died before `GENERATION` hit
             // disk, finish that bump now so a resumed store converges
-            // byte-for-byte with an uninterrupted one. Per-shard intents
-            // are absolute targets, so re-applying is idempotent.
-            let mut recovered = false;
-            for (&shard, &target) in &journal.pending_shards {
-                if self.store.shard_generation(shard) < target {
-                    self.store.set_shard_generation(shard, target)?;
-                    recovered = true;
-                }
-            }
-            if journal.pending_shards.is_empty()
-                && journal.pending_generation > self.store.generation()
-            {
-                // Journal written before per-shard intents existed.
-                self.store.set_generation(journal.pending_generation)?;
-                recovered = true;
-            }
-            if recovered {
+            // byte-for-byte with an uninterrupted one.
+            if self.finish_bump(journal.pending_generation)? {
                 obs.counter_add("sweep/generation_recovered", 1);
             }
             journal.pending_generation = 0;
-            journal.pending_shards.clear();
         } else {
-            // Record which shard counters this sweep will bump, before any
-            // simulation. Only shards that actually receive new runs move,
-            // so reads against untouched shards stay cache-valid.
-            let touched: std::collections::BTreeSet<u32> =
-                misses.iter().map(|c| self.store.shard_of(&c.run_id())).collect();
-            journal.pending_shards.clear();
-            for &shard in &touched {
-                journal.pending_shards.insert(shard, self.store.shard_generation(shard) + 1);
-            }
-            journal.pending_generation = self.store.generation() + touched.len() as u64;
+            // Record the bump this sweep owes, before any simulation.
+            journal.pending_generation = self.store.generation() + 1;
         }
         journal.persist(&self.store)?;
 
@@ -311,17 +287,11 @@ impl SweepEngine {
             if let Some(e) = first_err {
                 return Err(e);
             }
-            // Apply the journaled per-shard bumps (absolute targets, so a
-            // crash mid-way is finished idempotently on resume), then
-            // retire the intent so a later all-hit pass doesn't re-apply.
+            // Apply the journaled bump, then retire the intent so a later
+            // all-hit pass doesn't re-apply it.
             let mut j = journal.lock().unwrap_or_else(|p| p.into_inner());
-            for (&shard, &target) in &j.pending_shards {
-                if self.store.shard_generation(shard) < target {
-                    self.store.set_shard_generation(shard, target)?;
-                }
-            }
+            self.finish_bump(j.pending_generation)?;
             j.pending_generation = 0;
-            j.pending_shards.clear();
             // lint:allow(blocking_under_lock, reason="the worker pool has drained: this final persist retires the generation intent with no contending thread, and it must see the journal it just mutated")
             j.persist(&self.store)?;
         }
@@ -346,6 +316,16 @@ impl SweepEngine {
             generation: self.store.generation(),
             wall: start.elapsed(),
         })
+    }
+
+    /// Raise `GENERATION` to a journaled absolute `target` if it is still
+    /// below it (idempotent), returning whether it wrote.
+    fn finish_bump(&self, target: u64) -> Result<bool, HrvizError> {
+        let behind = self.store.generation() < target;
+        if behind {
+            self.store.set_generation(target)?;
+        }
+        Ok(behind)
     }
 
     /// Simulate one config with bounded retries, persisting lifecycle
@@ -693,85 +673,37 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_matches_single_shard_bytes_and_bumps_touched_shards() {
-        let flat_root = tmp("shard-flat");
-        SweepEngine::new(RunStore::open(&flat_root).unwrap()).with_workers(1).run(&grid()).unwrap();
+    fn a_legacy_journal_intent_is_finished_by_an_all_hit_sweep() {
+        let root = tmp("legacy-journal");
+        let engine = SweepEngine::new(RunStore::open(&root).unwrap()).with_workers(1);
+        let cold = engine.run(&grid()).unwrap();
+        assert_eq!(cold.generation, 1);
+        // The journal an older release leaves when it dies exactly on the
+        // `GENERATION` write: the intent spelled twice, the counter stale.
+        let runs: Vec<String> = cold
+            .run_ids
+            .iter()
+            .map(|r| format!("{{\"run\":\"{r}\",\"state\":\"completed\",\"attempts\":1}}"))
+            .collect();
+        let legacy = format!(
+            "{{\"sweep_id\":\"{}\",\"name\":\"grid\",\"pending_generation\":1,\
+             \"pending_shards\":[{{\"shard\":0,\"generation\":1}}],\"total\":4,\
+             \"runs\":[{}]}}\n",
+            cold.sweep_id,
+            runs.join(",")
+        );
+        let parsed = SweepJournal::parse(&legacy).unwrap();
+        assert_eq!(parsed.pending_generation, 1);
+        assert_eq!(parsed.entries.len(), 4);
+        std::fs::write(SweepJournal::path_in(engine.store(), &cold.sweep_id), &legacy).unwrap();
+        engine.store().set_generation(0).unwrap();
 
-        let root = tmp("shard-wide");
-        let store = RunStore::open_sharded(&root, 4).unwrap();
-        let engine = SweepEngine::new(store).with_workers(2);
-        let out = engine.run(&grid()).unwrap();
-        assert_eq!(out.store_misses, 4);
-
-        // Run payloads are byte-identical regardless of shard layout.
-        let runs = engine.store().runs().unwrap();
-        assert_eq!(runs, RunStore::open(&flat_root).unwrap().runs().unwrap());
-        for run in &runs {
-            let shard = engine.store().shard_of(run);
-            for file in ["manifest.json", "columns.jsonl"] {
-                let a = std::fs::read(flat_root.join(run).join(file)).unwrap();
-                let b =
-                    std::fs::read(engine.store().shard_root(shard).join(run).join(file)).unwrap();
-                assert_eq!(a, b, "{run}/{file} diverged across shard layouts");
-            }
-        }
-
-        // Only shards that received runs were bumped, each exactly once.
-        let touched: std::collections::BTreeSet<u32> =
-            runs.iter().map(|r| engine.store().shard_of(r)).collect();
-        for shard in 0..4 {
-            let expect = u64::from(touched.contains(&shard));
-            assert_eq!(engine.store().shard_generation(shard), expect, "shard {shard}");
-        }
-        assert_eq!(out.generation, touched.len() as u64);
-
-        // A warm pass is all hits and bumps nothing.
         let warm = engine.run(&grid()).unwrap();
         assert_eq!(warm.store_hits, 4);
-        assert_eq!(warm.generation, out.generation);
-        let _ = std::fs::remove_dir_all(&flat_root);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn crash_between_shard_bumps_converges_on_resume() {
-        // Reference sharded sweep, instrumented to measure its write budget.
-        let clean_root = tmp("shardbump-clean");
-        let probe = CrashPlan::after_ops(u64::MAX, CrashMode::BeforeWrite);
-        let store = RunStore::open_sharded(&clean_root, 4).unwrap().with_crash_plan(probe.clone());
-        SweepEngine::new(store).with_workers(1).run(&grid()).unwrap();
-        assert!(!probe.triggered());
-        // The tail of the budget is the per-shard bumps followed by the
-        // journal's intent-clear; aim at the last bump so at least one
-        // shard counter is left stale.
-        let bump_op = probe.ops_seen() - 2;
-
-        let root = tmp("shardbump-crash");
-        let plan = CrashPlan::after_ops(bump_op, CrashMode::BeforeWrite);
-        let store = RunStore::open_sharded(&root, 4).unwrap().with_crash_plan(plan.clone());
-        let crashed = SweepEngine::new(store).with_workers(1).run(&grid());
-        assert!(crashed.is_err(), "the injected crash must surface");
-        assert!(plan.triggered(), "crash must land on a shard bump");
-
-        let clean = RunStore::open(&clean_root).unwrap();
-        let reopened = RunStore::open(&root).unwrap();
-        assert_eq!(reopened.shard_count(), 4, "recorded layout survives reopen");
-        assert!(reopened.generation() < clean.generation(), "a bump must be missing");
-
-        let resumed = SweepEngine::new(reopened)
-            .with_workers(1)
-            .run_with(&grid(), &SweepOptions::resume())
-            .unwrap();
-        assert_eq!(resumed.store_hits, 4, "nothing re-simulates");
-        assert_eq!(resumed.generation, clean.generation(), "resume finishes the shard bumps");
-        for shard in 0..4 {
-            assert_eq!(
-                SweepEngine::new(RunStore::open(&root).unwrap()).store().shard_generation(shard),
-                clean.shard_generation(shard),
-                "shard {shard} generation diverged",
-            );
-        }
-        let _ = std::fs::remove_dir_all(&clean_root);
+        assert_eq!(warm.generation, 1, "the all-hit pass finishes the journaled bump");
+        assert_eq!(std::fs::read_to_string(root.join("GENERATION")).unwrap(), "1\n");
+        let journal = SweepJournal::load(engine.store(), &cold.sweep_id).unwrap();
+        assert_eq!(journal.pending_generation, 0, "the intent is retired");
         let _ = std::fs::remove_dir_all(&root);
     }
 

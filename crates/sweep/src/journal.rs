@@ -37,19 +37,13 @@ pub struct SweepJournal {
     pub sweep_id: String,
     /// Sweep name.
     pub name: String,
-    /// The combined generation the store must reach once every entry
-    /// completes (0 = no bump outstanding). Legacy single-counter intent;
-    /// [`SweepJournal::pending_shards`] is the authoritative per-shard
-    /// form. Recorded *before* any simulation so a crash landing exactly
-    /// on a `GENERATION` write leaves a visible intent: the next sweep
-    /// over this grid finishes the bump instead of silently keeping the
-    /// stale counter.
+    /// The generation the store must reach once every entry completes
+    /// (0 = no bump outstanding). Recorded *before* any simulation so a
+    /// crash landing exactly on the `GENERATION` write leaves a visible
+    /// intent: the next sweep over this grid finishes the bump instead of
+    /// silently keeping the stale counter. An absolute target, not an
+    /// increment, so re-applying it is idempotent.
     pub pending_generation: u64,
-    /// Per-shard bump intents: shard index → the generation that shard's
-    /// counter must reach. Empty = no bump outstanding. Applied
-    /// idempotently (absolute targets, not increments), so resume can
-    /// re-apply after a crash between two shard bumps.
-    pub pending_shards: BTreeMap<u32, u64>,
     /// Per-run entries, keyed (and serialized) by run id.
     pub entries: BTreeMap<String, JournalEntry>,
 }
@@ -61,7 +55,6 @@ impl SweepJournal {
             sweep_id: sweep_id.into(),
             name: name.into(),
             pending_generation: 0,
-            pending_shards: BTreeMap::new(),
             entries: BTreeMap::new(),
         }
     }
@@ -107,20 +100,6 @@ impl SweepJournal {
             ("sweep_id", Json::Str(self.sweep_id.clone())),
             ("name", Json::Str(self.name.clone())),
             ("pending_generation", Json::U64(self.pending_generation)),
-            (
-                "pending_shards",
-                Json::Arr(
-                    self.pending_shards
-                        .iter()
-                        .map(|(&shard, &generation)| {
-                            Json::obj([
-                                ("shard", Json::U64(u64::from(shard))),
-                                ("generation", Json::U64(generation)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             ("total", Json::U64(self.entries.len() as u64)),
             (
                 "runs",
@@ -150,24 +129,11 @@ impl SweepJournal {
                 .ok_or_else(|| format!("journal missing string field {key:?}"))
         };
         let mut journal = SweepJournal::new(s("sweep_id")?, s("name")?);
-        // Absent in journals written before the fields existed: no intent.
+        // Absent in journals written before the field existed: no intent.
+        // Other keys (older journals carry a per-layout intent list beside
+        // this one) are ignored.
         journal.pending_generation =
             v.get("pending_generation").and_then(Json::as_u64).unwrap_or(0);
-        if let Some(shards) = v.get("pending_shards").and_then(Json::as_array) {
-            for intent in shards {
-                let shard = intent
-                    .get("shard")
-                    .and_then(Json::as_u64)
-                    .ok_or("pending_shards entry missing shard")?;
-                let generation = intent
-                    .get("generation")
-                    .and_then(Json::as_u64)
-                    .ok_or("pending_shards entry missing generation")?;
-                let shard =
-                    u32::try_from(shard).map_err(|_| format!("shard index {shard} too large"))?;
-                journal.pending_shards.insert(shard, generation);
-            }
-        }
         let runs = v.get("runs").and_then(Json::as_array).ok_or("journal missing runs array")?;
         for entry in runs {
             let run = entry

@@ -12,7 +12,7 @@
 //! * each config is **content-addressed** ([`RunConfig::canonical`] →
 //!   FNV-1a hash → run id), so a store never simulates the same point
 //!   twice;
-//! * [`SweepEngine`] shards the uncached configs across a fixed-width
+//! * [`SweepEngine`] spreads the uncached configs across a fixed-width
 //!   worker pool and lands every result in a [`RunStore`] — per run a
 //!   `manifest.json` plus `columns.jsonl`, the columnar
 //!   (struct-of-arrays) form of the analytics tables. Stores are

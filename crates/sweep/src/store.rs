@@ -30,26 +30,11 @@
 //! `running`/`failed` runs are reported for `--resume` to retry, and the
 //! structured [`FsckReport`] is persisted as `<store>/fsck_report.json`.
 //!
-//! The store keeps a `GENERATION` counter per shard, bumped once per
-//! sweep that executed at least one new run in that shard.
-//! [`RunStore::generation`] is the sum over shards; [`RunStore::data_key`]
+//! The store keeps one `GENERATION` counter at its root, bumped once per
+//! sweep that executed at least one new run. [`RunStore::data_key`]
 //! folds it into the [`DataKey`] used by the analytics-side
 //! [`AggregateCache`](hrviz_core::AggregateCache), so cached aggregates
 //! are invalidated when the store contents move under them.
-//!
-//! ## Sharding
-//!
-//! A store opened with [`RunStore::open_sharded`] spreads run directories
-//! over `N` shard directories (`<root>/shards/s00` … `s{N-1}`) by
-//! rendezvous (highest-random-weight) hashing of the run id, recorded in
-//! a `SHARDS` file at the root so later [`RunStore::open`] calls recover
-//! the layout. Each shard carries its own `GENERATION` counter and gets
-//! its own fsck sweep, so concurrent sweeps touching disjoint shards
-//! never contend on one counter file. The default single-shard layout is
-//! byte-for-byte the legacy one (run dirs directly under the root), and
-//! because run ids and file bytes are content-addressed, the *same* run
-//! is byte-identical no matter how many shards the store that holds it
-//! has.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -139,14 +124,10 @@ pub enum RunHealth {
     Complete,
 }
 
-/// Upper bound on the shard count a store may be created with.
-pub const MAX_SHARDS: u32 = 64;
-
 /// A directory of content-addressed runs.
 #[derive(Clone, Debug)]
 pub struct RunStore {
     root: PathBuf,
-    shards: u32,
     crash: Option<Arc<CrashPlan>>,
     last_fsck: Option<Arc<FsckReport>>,
 }
@@ -330,50 +311,21 @@ fn is_run_id(name: &str) -> bool {
 impl RunStore {
     /// Open (creating if needed) a store rooted at `root`, running the
     /// [`RunStore::fsck`] recovery pass. The pass's report is retained on
-    /// the handle ([`RunStore::last_fsck`]).
+    /// the handle ([`RunStore::last_fsck`]). A root that holds a `SHARDS`
+    /// file was laid out by an older release; opening it is a
+    /// configuration error, raised before anything is written.
     pub fn open(root: impl Into<PathBuf>) -> Result<RunStore, HrvizError> {
         let root = root.into();
-        fs::create_dir_all(&root).map_err(|e| HrvizError::io(root.display().to_string(), e))?;
-        let shards = read_shard_count(&root)?;
-        RunStore::open_at(root, shards)
-    }
-
-    /// Open (creating if needed) a store laid out over `shards` shard
-    /// directories. A fresh store records the count in `<root>/SHARDS`;
-    /// reopening with a different count is a configuration error, as is
-    /// sharding a store that already holds single-shard runs.
-    pub fn open_sharded(root: impl Into<PathBuf>, shards: u32) -> Result<RunStore, HrvizError> {
-        let root = root.into();
-        if shards == 0 || shards > MAX_SHARDS {
+        let layout = root.join("SHARDS");
+        if layout.exists() {
             return Err(HrvizError::config(format!(
-                "shard count must be 1..={MAX_SHARDS}, got {shards}"
+                "store at {} holds {}: sharded stores are no longer supported",
+                root.display(),
+                layout.display()
             )));
         }
         fs::create_dir_all(&root).map_err(|e| HrvizError::io(root.display().to_string(), e))?;
-        match read_recorded_shards(&root)? {
-            Some(existing) if existing != shards => {
-                return Err(HrvizError::config(format!(
-                    "store at {} has {existing} shards; cannot reopen with {shards}",
-                    root.display()
-                )));
-            }
-            Some(_) => {}
-            None if shards > 1 => {
-                if has_root_level_runs(&root)? {
-                    return Err(HrvizError::config(format!(
-                        "store at {} already holds single-shard runs; cannot shard it",
-                        root.display()
-                    )));
-                }
-                atomic_write(&root.join("SHARDS"), format!("{shards}\n").as_bytes())?;
-            }
-            None => {}
-        }
-        RunStore::open_at(root, shards)
-    }
-
-    fn open_at(root: PathBuf, shards: u32) -> Result<RunStore, HrvizError> {
-        let mut store = RunStore { root, shards, crash: None, last_fsck: None };
+        let mut store = RunStore { root, crash: None, last_fsck: None };
         let report = store.fsck()?;
         store.last_fsck = Some(Arc::new(report));
         Ok(store)
@@ -411,39 +363,12 @@ impl RunStore {
         self.root.join("quarantine")
     }
 
-    /// How many shard directories this store spreads runs over.
-    pub fn shard_count(&self) -> u32 {
-        self.shards
-    }
-
-    /// Which shard holds `run_id`: rendezvous (highest-random-weight)
-    /// hashing, so the assignment depends only on the id and the shard
-    /// count — stable across processes and across reopens.
-    pub fn shard_of(&self, run_id: &str) -> u32 {
-        if self.shards == 1 {
-            return 0;
-        }
-        (0..self.shards)
-            .max_by_key(|i| hrviz_obs::fingerprint64(&format!("{run_id}|shard/{i}")))
-            .unwrap_or(0)
-    }
-
-    /// Root directory of one shard. The single-shard layout is the legacy
-    /// one: the store root itself.
-    pub fn shard_root(&self, shard: u32) -> PathBuf {
-        if self.shards == 1 {
-            self.root.clone()
-        } else {
-            self.root.join("shards").join(format!("s{shard:02}"))
-        }
-    }
-
     /// The directory a run lives (or would live) in. Streamed runs keep
     /// their `slices/` segments and `progress.json` watermark here next to
     /// the manifest, so live readers (serve, `hrviz watch`) resolve paths
     /// through this.
     pub fn run_dir(&self, run_id: &str) -> PathBuf {
-        self.shard_root(self.shard_of(run_id)).join(run_id)
+        self.root.join(run_id)
     }
 
     /// One budgeted (crash-injectable) or unbudgeted atomic write.
@@ -495,42 +420,27 @@ impl RunStore {
         Err(died("simulated crash during store write"))
     }
 
-    /// The store generation: the sum of every shard's counter, so any
-    /// shard bump advances it. `0` for a fresh store.
+    /// The store generation. `0` for a fresh store.
     pub fn generation(&self) -> u64 {
-        (0..self.shards).map(|i| self.shard_generation(i)).sum()
-    }
-
-    /// One shard's generation counter. `0` for a fresh shard.
-    pub fn shard_generation(&self, shard: u32) -> u64 {
-        fs::read_to_string(self.shard_root(shard).join("GENERATION"))
+        fs::read_to_string(self.root.join("GENERATION"))
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(0)
     }
 
-    /// Advance shard 0's counter atomically (the legacy whole-store bump),
-    /// returning the new combined generation. A crash mid-bump leaves the
-    /// old counter, never a torn one.
+    /// Advance the counter atomically, returning the new generation. A
+    /// crash mid-bump leaves the old counter, never a torn one.
     pub fn bump_generation(&self) -> Result<u64, HrvizError> {
-        self.set_shard_generation(0, self.shard_generation(0) + 1)?;
-        Ok(self.generation())
+        let next = self.generation() + 1;
+        self.set_generation(next)?;
+        Ok(next)
     }
 
-    /// Write an explicit value into shard 0's counter (budgeted, atomic).
-    /// Used by sweep resume to finish a bump whose intent was journaled
-    /// before a crash landed exactly on the `GENERATION` write.
+    /// Write an explicit value into the counter (budgeted, atomic).
+    /// Idempotent, so sweep resume can finish a bump whose intent was
+    /// journaled before a crash landed exactly on the `GENERATION` write.
     pub fn set_generation(&self, value: u64) -> Result<(), HrvizError> {
-        self.set_shard_generation(0, value)
-    }
-
-    /// Write an explicit value into one shard's counter (budgeted,
-    /// atomic). Idempotent, so sweep resume can safely re-apply a
-    /// journaled per-shard bump intent.
-    pub fn set_shard_generation(&self, shard: u32, value: u64) -> Result<(), HrvizError> {
-        let dir = self.shard_root(shard);
-        fs::create_dir_all(&dir).map_err(|e| HrvizError::io(dir.display().to_string(), e))?;
-        self.write_atomic(&dir.join("GENERATION"), format!("{value}\n").as_bytes(), true)
+        self.write_atomic(&self.root.join("GENERATION"), format!("{value}\n").as_bytes(), true)
     }
 
     /// Classify one run id. Reads (and validates) the manifest but not the
@@ -575,55 +485,34 @@ impl RunStore {
         DataKey { run: cfg.hash(), generation: self.generation() }
     }
 
-    /// Ids of every complete run in the store, sorted, across all shards.
+    /// Ids of every complete run in the store, sorted.
     pub fn runs(&self) -> Result<Vec<String>, HrvizError> {
-        let mut out = Vec::new();
-        for shard in 0..self.shards {
-            for name in self.run_dirs_in(&self.shard_root(shard))? {
-                if self.contains(&name) {
-                    out.push(name);
-                }
-            }
-        }
-        out.sort();
+        let mut out = self.run_dir_names()?;
+        out.retain(|name| self.contains(name));
         Ok(out)
     }
 
-    /// Names of every run-shaped directory across all shards, sorted.
-    /// Reads nothing but directory listings, so callers can
-    /// stat-validate live surfaces (progress watermarks) without
-    /// parsing a single manifest.
-    pub fn run_dir_names(&self) -> Result<Vec<String>, HrvizError> {
-        let mut out = Vec::new();
-        for shard in 0..self.shards {
-            out.extend(self.run_dirs_in(&self.shard_root(shard))?);
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Every manifested run with its lifecycle state, sorted by id across
-    /// all shards. Runs whose manifest is torn or missing are skipped —
-    /// this is the listing surface for serve's `?state=` filter, not a
-    /// recovery pass.
+    /// Every manifested run with its lifecycle state, sorted by id. Runs
+    /// whose manifest is torn or missing are skipped — this is the
+    /// listing surface for serve's `?state=` filter, not a recovery pass.
     pub fn runs_by_state(&self) -> Result<Vec<(String, RunState)>, HrvizError> {
         let mut out = Vec::new();
-        for shard in 0..self.shards {
-            for name in self.run_dirs_in(&self.shard_root(shard))? {
-                match self.health(&name) {
-                    RunHealth::Complete => out.push((name, RunState::Completed)),
-                    RunHealth::Pending(state) => out.push((name, state)),
-                    RunHealth::Missing | RunHealth::Corrupt(_) => {}
-                }
+        for name in self.run_dir_names()? {
+            match self.health(&name) {
+                RunHealth::Complete => out.push((name, RunState::Completed)),
+                RunHealth::Pending(state) => out.push((name, state)),
+                RunHealth::Missing | RunHealth::Corrupt(_) => {}
             }
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
 
-    /// Names of run-shaped directories directly under `dir` (empty when
-    /// the directory does not exist yet).
-    fn run_dirs_in(&self, dir: &Path) -> Result<Vec<String>, HrvizError> {
+    /// Names of every run-shaped directory under the root, sorted. Reads
+    /// nothing but the directory listing, so callers can stat-validate
+    /// live surfaces (progress watermarks) without parsing a single
+    /// manifest.
+    pub fn run_dir_names(&self) -> Result<Vec<String>, HrvizError> {
+        let dir = &self.root;
         let entries = match fs::read_dir(dir) {
             Ok(entries) => entries,
             Err(_) if !dir.is_dir() => return Ok(Vec::new()),
@@ -766,56 +655,40 @@ impl RunStore {
                 report.tmp_removed += self.reap_tmp(&aux)?;
             }
         }
-        for shard in 0..self.shards {
-            let sroot = self.shard_root(shard);
-            if self.shards > 1 && sroot.is_dir() {
-                report.tmp_removed += self.reap_tmp(&sroot)?;
+        for run in self.run_dir_names()? {
+            let dir = self.run_dir(&run);
+            report.tmp_removed += self.reap_tmp(&dir)?;
+            // Streamed runs keep slice segments in a subdirectory; a
+            // crash mid-seal leaves its stray tmp there.
+            let slices = dir.join("slices");
+            if slices.is_dir() {
+                report.tmp_removed += self.reap_tmp(&slices)?;
             }
-            for run in self.run_dirs_in(&sroot)? {
-                let dir = sroot.join(&run);
-                report.tmp_removed += self.reap_tmp(&dir)?;
-                // Streamed runs keep slice segments in a subdirectory; a
-                // crash mid-seal leaves its stray tmp there.
-                let slices = dir.join("slices");
-                if slices.is_dir() {
-                    report.tmp_removed += self.reap_tmp(&slices)?;
-                }
-                report.scanned += 1;
-                if self.run_dir(&run) != dir {
-                    // Manually moved into a shard the hash does not map to:
-                    // unreachable through the id-based API, so quarantine.
-                    self.quarantine_from(&run, &dir, "run in wrong shard".into(), &mut report)?;
-                    continue;
-                }
-                match self.health(&run) {
-                    RunHealth::Missing => {}
-                    RunHealth::Complete => match self.verify_columns(&run) {
-                        Ok(()) => report.completed += 1,
-                        Err(reason) => self.quarantine(&run, reason, &mut report)?,
-                    },
-                    RunHealth::Pending(RunState::Queued) => report.queued.push(run),
-                    RunHealth::Pending(RunState::Running) => report.running_orphans.push(run),
-                    RunHealth::Pending(RunState::Failed) => report.failed.push(run),
-                    RunHealth::Pending(RunState::Aborted) => report.aborted.push(run),
-                    RunHealth::Pending(RunState::Completed) => {}
-                    RunHealth::Corrupt(reason) => self.quarantine(&run, reason, &mut report)?,
+            report.scanned += 1;
+            match self.health(&run) {
+                RunHealth::Missing => {}
+                RunHealth::Complete => match self.verify_columns(&run) {
+                    Ok(()) => report.completed += 1,
+                    Err(reason) => self.quarantine(&run, reason, &mut report)?,
+                },
+                RunHealth::Pending(RunState::Queued) => report.queued.push(run),
+                RunHealth::Pending(RunState::Running) => report.running_orphans.push(run),
+                RunHealth::Pending(RunState::Failed) => report.failed.push(run),
+                RunHealth::Pending(RunState::Aborted) => report.aborted.push(run),
+                RunHealth::Pending(RunState::Completed) => {}
+                RunHealth::Corrupt(reason) => self.quarantine(&run, reason, &mut report)?,
+            }
+        }
+        let gen_path = self.root.join("GENERATION");
+        if let Ok(text) = fs::read_to_string(&gen_path) {
+            match text.trim().parse::<u64>() {
+                Ok(g) => report.generation = g,
+                Err(_) => {
+                    self.write_atomic(&gen_path, b"0\n", false)?;
+                    report.generation_reset = true;
                 }
             }
         }
-        let mut total_generation = 0u64;
-        for shard in 0..self.shards {
-            let gen_path = self.shard_root(shard).join("GENERATION");
-            if let Ok(text) = fs::read_to_string(&gen_path) {
-                match text.trim().parse::<u64>() {
-                    Ok(g) => total_generation += g,
-                    Err(_) => {
-                        self.write_atomic(&gen_path, b"0\n", false)?;
-                        report.generation_reset = true;
-                    }
-                }
-            }
-        }
-        report.generation = total_generation;
         self.write_atomic(
             &self.root.join("fsck_report.json"),
             (report.to_json().render() + "\n").as_bytes(),
@@ -852,23 +725,14 @@ impl RunStore {
         reason: String,
         report: &mut FsckReport,
     ) -> Result<(), HrvizError> {
-        self.quarantine_from(run, &self.run_dir(run), reason, report)
-    }
-
-    fn quarantine_from(
-        &self,
-        run: &str,
-        src: &Path,
-        reason: String,
-        report: &mut FsckReport,
-    ) -> Result<(), HrvizError> {
+        let src = self.run_dir(run);
         let qdir = self.quarantine_dir();
         fs::create_dir_all(&qdir).map_err(|e| HrvizError::io(qdir.display().to_string(), e))?;
         let dest = qdir.join(run);
         if dest.exists() {
             fs::remove_dir_all(&dest).map_err(|e| HrvizError::io(dest.display().to_string(), e))?;
         }
-        fs::rename(src, &dest).map_err(|e| HrvizError::io(src.display().to_string(), e))?;
+        fs::rename(&src, &dest).map_err(|e| HrvizError::io(src.display().to_string(), e))?;
         report.quarantined.push((run.to_string(), reason));
         Ok(())
     }
@@ -894,48 +758,6 @@ impl RunStore {
         }
         Ok(removed)
     }
-}
-
-/// The shard count recorded in `<root>/SHARDS`, `None` when the file is
-/// absent (legacy single-shard layout). Unparseable contents are a
-/// configuration error — guessing a layout risks scattering runs.
-fn read_recorded_shards(root: &Path) -> Result<Option<u32>, HrvizError> {
-    let path = root.join("SHARDS");
-    let text = match fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(HrvizError::io(path.display().to_string(), e)),
-    };
-    let n: u32 = text.trim().parse().map_err(|_| {
-        HrvizError::parse(path.display().to_string(), format!("bad shard count {:?}", text.trim()))
-    })?;
-    if n == 0 || n > MAX_SHARDS {
-        return Err(HrvizError::parse(
-            path.display().to_string(),
-            format!("shard count must be 1..={MAX_SHARDS}, got {n}"),
-        ));
-    }
-    Ok(Some(n))
-}
-
-/// Effective shard count for [`RunStore::open`]: whatever is recorded,
-/// else the legacy single shard.
-fn read_shard_count(root: &Path) -> Result<u32, HrvizError> {
-    Ok(read_recorded_shards(root)?.unwrap_or(1))
-}
-
-/// Whether any run directory sits directly under `root` (legacy layout).
-fn has_root_level_runs(root: &Path) -> Result<bool, HrvizError> {
-    let entries = fs::read_dir(root).map_err(|e| HrvizError::io(root.display().to_string(), e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| HrvizError::io(root.display().to_string(), e))?;
-        if let Some(name) = entry.file_name().to_str() {
-            if is_run_id(name) && entry.path().is_dir() {
-                return Ok(true);
-            }
-        }
-    }
-    Ok(false)
 }
 
 /// 16-hex FNV-1a of file contents.
@@ -1488,112 +1310,41 @@ mod tests {
             .collect()
     }
 
+    /// Every path under `root` with its bytes (directories as `None`).
+    fn tree_image(root: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+        let mut out = Vec::new();
+        let mut stack = vec![root.to_path_buf()];
+        while let Some(dir) = stack.pop() {
+            for entry in fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    out.push((path.clone(), None));
+                    stack.push(path);
+                } else {
+                    out.push((path.clone(), Some(fs::read(&path).unwrap())));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
     #[test]
-    fn sharded_store_distributes_runs_and_reopens_with_the_recorded_layout() {
+    fn opening_a_sharded_store_is_a_structured_error() {
         let root = tmp("sharded");
-        let store = RunStore::open_sharded(&root, 4).unwrap();
-        assert_eq!(store.shard_count(), 4);
-        let runs = grid_runs(6);
-        let mut ids: Vec<String> = Vec::new();
-        for (cfg, result) in &runs {
-            store.save(cfg, result).unwrap();
-            ids.push(cfg.run_id());
+        fs::create_dir_all(root.join("shards/s01/00000000deadbeef")).unwrap();
+        fs::write(root.join("SHARDS"), "4\n").unwrap();
+        fs::write(root.join("shards/s01/GENERATION"), "3\n").unwrap();
+        fs::write(root.join("stray.1.1.tmp"), b"x").unwrap();
+        let before = tree_image(&root);
+        match RunStore::open(&root) {
+            Err(HrvizError::Config(msg)) => {
+                assert!(msg.contains("SHARDS") && msg.contains("no longer supported"), "{msg}");
+            }
+            other => panic!("expected a config error, got {other:?}"),
         }
-        ids.sort();
-        assert_eq!(store.runs().unwrap(), ids);
-        // Every run lives in exactly the shard the hash maps it to, and
-        // more than one shard is actually used by a 6-run grid.
-        let mut shards_used = std::collections::BTreeSet::new();
-        for id in &ids {
-            let shard = store.shard_of(id);
-            shards_used.insert(shard);
-            assert!(store.shard_root(shard).join(id).is_dir());
-            assert!(!root.join(id).exists(), "sharded runs never land at the root");
-            store.load(id).unwrap();
-        }
-        assert!(shards_used.len() > 1, "rendezvous hashing spreads 6 runs: {shards_used:?}");
-        // Reopen without the explicit count: SHARDS recovers the layout.
-        drop(store);
-        let reopened = RunStore::open(&root).unwrap();
-        assert_eq!(reopened.shard_count(), 4);
-        assert_eq!(reopened.runs().unwrap(), ids);
-        // Reopening with a mismatched count is refused.
-        let e = RunStore::open_sharded(&root, 2).unwrap_err();
-        assert!(e.to_string().contains("4 shards"), "{e}");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn same_run_is_byte_identical_across_shard_counts() {
-        let (cfg, result) = tiny_run();
-        let root1 = tmp("shardbytes1");
-        let root4 = tmp("shardbytes4");
-        let s1 = RunStore::open(&root1).unwrap();
-        let s4 = RunStore::open_sharded(&root4, 4).unwrap();
-        let d1 = s1.save(&cfg, &result).unwrap();
-        let d4 = s4.save(&cfg, &result).unwrap();
-        for file in ["manifest.json", "columns.jsonl"] {
-            assert_eq!(
-                fs::read(d1.join(file)).unwrap(),
-                fs::read(d4.join(file)).unwrap(),
-                "{file} must not depend on the shard layout"
-            );
-        }
-        let _ = fs::remove_dir_all(&root1);
-        let _ = fs::remove_dir_all(&root4);
-    }
-
-    #[test]
-    fn per_shard_generations_sum_into_the_store_generation() {
-        let root = tmp("shardgen");
-        let store = RunStore::open_sharded(&root, 4).unwrap();
-        assert_eq!(store.generation(), 0);
-        store.set_shard_generation(2, 1).unwrap();
-        store.set_shard_generation(3, 5).unwrap();
-        assert_eq!(store.shard_generation(2), 1);
-        assert_eq!(store.shard_generation(3), 5);
-        assert_eq!(store.generation(), 6, "combined generation sums the shards");
-        // The legacy bump still advances the combined counter (via shard 0).
-        assert_eq!(store.bump_generation().unwrap(), 7);
-        assert_eq!(store.shard_generation(0), 1);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn fsck_runs_per_shard_and_quarantines_into_the_shared_dir() {
-        let root = tmp("shardfsck");
-        let store = RunStore::open_sharded(&root, 4).unwrap();
-        let (cfg, result) = tiny_run();
-        let dir = store.save(&cfg, &result).unwrap();
-        // Corrupt the columns inside its shard, plus a stray tmp in
-        // another shard's root.
-        let mut columns = fs::read_to_string(dir.join("columns.jsonl")).unwrap();
-        columns.push('\n');
-        fs::write(dir.join("columns.jsonl"), &columns).unwrap();
-        let other = store.shard_root((store.shard_of(&cfg.run_id()) + 1) % 4);
-        fs::create_dir_all(&other).unwrap();
-        fs::write(other.join("stray.tmp"), b"x").unwrap();
-        let reopened = RunStore::open(&root).unwrap();
-        let report = reopened.last_fsck().unwrap();
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(report.quarantined[0].0, cfg.run_id());
-        assert!(report.tmp_removed >= 1, "shard roots are swept for tmps");
-        assert!(reopened.quarantine_dir().join(cfg.run_id()).is_dir());
-        assert!(!reopened.contains(&cfg.run_id()));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn sharding_an_existing_single_shard_store_is_refused() {
-        let root = tmp("shardrefuse");
-        let store = RunStore::open(&root).unwrap();
-        let (cfg, result) = tiny_run();
-        store.save(&cfg, &result).unwrap();
-        let e = RunStore::open_sharded(&root, 4).unwrap_err();
-        assert!(e.to_string().contains("single-shard"), "{e}");
-        // But a sharded handle with N=1 over the same layout is fine.
-        let again = RunStore::open_sharded(&root, 1).unwrap();
-        assert!(again.contains(&cfg.run_id()));
+        assert_eq!(tree_image(&root), before, "a refused open writes nothing");
+        assert!(!root.join("fsck_report.json").exists());
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1,6 +1,6 @@
 //! Determinism contracts of the sweep engine (the ISSUE's satellite 4):
 //!
-//! * sharding a sweep across workers never changes the bytes that land in
+//! * spreading a sweep across workers never changes the bytes that land in
 //!   the store — serial and parallel sweeps of the same grid produce
 //!   **bit-identical** `RunStore` contents, and
 //! * repeating an identical sweep simulates nothing: every config is a
