@@ -1,7 +1,16 @@
 //! The `hrviz` binary: see [`hrviz_cli`] for the implementation.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::unwrap_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -8,6 +8,17 @@
 //! come back as a structured [`RequestError`] naming the offending field
 //! and a machine-readable code, which serve renders as a structured 400.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use std::collections::BTreeMap;
 
 use crate::graph::{RenderPolicy, SCHEMA_VERSION, SECTION_NAMES};

@@ -25,6 +25,17 @@
 //! (`{ project: "local_link", size: "traffic", color: "sat_time" }`) and
 //! an `arc_weight` field name; both configure the view center.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::entity::{EntityKind, Field};
 use crate::spec::{FilterClause, LevelSpec, ProjectionSpec, RibbonSpec, SpecError};
 

@@ -6,6 +6,17 @@
 //! is inferred from the number of encodings (§IV-B2): 1 → 1-D heatmap,
 //! 2 → bar chart, 3 → 2-D heatmap, 4 → scatter plot.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::color::ColorScale;
 use crate::dataset::DataSet;
 use crate::entity::{EntityKind, Field};

@@ -8,6 +8,17 @@
 //! Wiring: edge `e` of a pod connects to every aggregation of its pod;
 //! aggregation `j` of every pod connects to cores `j·k/2 .. (j+1)·k/2`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use hrviz_pdes::LpId;
 
 /// How up-ports are chosen on the way to the core.
@@ -216,7 +227,7 @@ mod tests {
     #[test]
     fn id_spaces_partition() {
         let c = FatTreeConfig::try_new(6).expect("valid k");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for pod in 0..c.pods() {
             for i in 0..c.half() {
                 assert!(seen.insert(c.edge_id(pod, i)));

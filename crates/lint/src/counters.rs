@@ -82,7 +82,6 @@ pub fn collect_writes(
                              manifest audit cannot see it — name metrics statically",
                             tf.text(src, i + 1)
                         ),
-                        baselined: false,
                     });
                 }
             }
@@ -153,7 +152,6 @@ pub fn drift_findings(
                      (hrviz_obs::METRICS): /metricsz would expose an undocumented name",
                     w.name
                 ),
-                baselined: false,
             }),
             Some(kind) if *kind != w.kind => out.push(Finding {
                 rule: "counter_drift",
@@ -164,7 +162,6 @@ pub fn drift_findings(
                     "`{}` is written as a {} but the manifest registers it as a {}",
                     w.name, w.kind, kind
                 ),
-                baselined: false,
             }),
             Some(_) => {}
         }
@@ -225,7 +222,7 @@ fn anchor(manifest_src: Option<&SourceFile>, name: &str, message: String) -> Fin
         }
         None => ("crates/obs/src/metrics.rs".to_string(), 1, String::new()),
     };
-    Finding { rule: "counter_drift", file, line, snippet, message, baselined: false }
+    Finding { rule: "counter_drift", file, line, snippet, message }
 }
 
 #[cfg(test)]

@@ -1,13 +1,18 @@
-//! hrviz-lint — syntax-aware multi-pass workspace static analysis.
+//! hrviz-lint — syntax-aware multi-pass workspace static analysis for
+//! the contracts clippy cannot state.
 //!
 //! The paper's comparison views are only meaningful because two runs of
 //! the same configuration are byte-identical; PRs 2–3 made that a tested
-//! contract (fault-schedule replay, parallel-vs-serial sweeps). This
-//! crate keeps the contract *statically* — and, since PR 9, keeps three
-//! more: the workspace's lock acquisition order is acyclic and no guard
-//! outlives a blocking call, every event-handling `Lp` participates in
-//! state saving, and the telemetry namespace cannot drift (write sites ↔
-//! `hrviz_obs::METRICS` ↔ DESIGN.md).
+//! contract (fault-schedule replay, parallel-vs-serial sweeps). Clippy
+//! keeps most of it statically: the simulation crates' `clippy.toml`
+//! files ban hash collections, wall-clock reads and ambient RNGs, and
+//! `#![deny(clippy::unwrap_used, …)]` keeps the panic-free scope free of
+//! unwraps and panicking macros. This crate keeps the rest: no unordered
+//! parallel float reduction in simulation code, no unproven indexing in
+//! the panic-free scope, an acyclic workspace lock order with no guard
+//! outliving a blocking call, every event-handling `Lp` participating in
+//! state saving, and a telemetry namespace that cannot drift (write sites
+//! ↔ `hrviz_obs::METRICS` ↔ DESIGN.md).
 //!
 //! The analysis is a hand-rolled token-tree pass (no rustc plugin, no
 //! registry access): [`source::SourceFile`] masks comments/strings,
@@ -20,18 +25,25 @@
 //! cargo run -p hrviz-lint -- --check              # CI gate (human output)
 //! cargo run -p hrviz-lint -- --check --format json
 //! cargo run -p hrviz-lint -- --list-rules
-//! cargo run -p hrviz-lint -- --fix-baseline       # drop stale entries
 //! ```
 //!
-//! Findings are suppressed inline with `// lint:allow(rule, reason="…")`
-//! (the reason is mandatory — an allow without one is itself a finding).
-//! The checked-in `lint-baseline.json` must be empty: every surviving
-//! entry is a `baseline_debt` finding and every entry whose code is gone
-//! is a `stale_baseline` finding, and neither can be suppressed.
+//! Every finding has one escape hatch: an inline
+//! `// lint:allow(rule, reason="…")` at the site (the reason is
+//! mandatory — an allow without one is itself a finding). Clippy's
+//! findings take `#[expect(clippy::…, reason = "…")]` instead.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
-pub mod baseline;
 pub mod counters;
 pub mod diag;
 pub mod facts;
@@ -40,7 +52,6 @@ pub mod rules;
 pub mod source;
 pub mod tokens;
 
-pub use baseline::{Baseline, BaselineEntry};
 pub use facts::{FileFacts, LockEdge, MetricWrite};
 pub use rules::{check_file, rule, Finding, RuleInfo, RULES};
 pub use source::SourceFile;
@@ -142,9 +153,6 @@ pub struct LintRun {
 /// so neither a cache nor a worker pool pays for itself). `obs` receives
 /// the `lint/files_parsed` counter (pass [`Collector::disabled`] to
 /// record nothing).
-///
-/// Findings come back with `baselined` unset — apply a [`Baseline`]
-/// next.
 pub fn lint_workspace_with(root: &Path, obs: &Collector) -> io::Result<LintRun> {
     let paths = workspace_files(root)?;
     let mut loaded: Vec<(String, String)> = Vec::with_capacity(paths.len());
@@ -190,50 +198,6 @@ pub fn lint_workspace_with(root: &Path, obs: &Collector) -> io::Result<LintRun> 
 /// tests use.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     lint_workspace_with(root, &Collector::disabled()).map(|r| r.findings)
-}
-
-/// The baseline meta-findings: every surviving entry is `baseline_debt`
-/// (the baseline must drain to empty — fix the code or move to an inline
-/// reasoned allow) and every entry matching nothing is `stale_baseline`
-/// (its code is gone; run `--fix-baseline`). Neither can be suppressed
-/// or baselined.
-pub fn baseline_findings(baseline: &Baseline, findings: &[Finding]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for e in &baseline.entries {
-        let covers =
-            findings.iter().any(|f| e.rule == f.rule && e.file == f.file && e.snippet == f.snippet);
-        out.push(Finding {
-            rule: if covers { "baseline_debt" } else { "stale_baseline" },
-            file: e.file.clone(),
-            line: 1,
-            snippet: e.snippet.clone(),
-            message: if covers {
-                format!(
-                    "baseline entry grandfathers a live `{}` finding: fix it or carry an \
-                     inline lint:allow({}, reason=\"…\") at the site",
-                    e.rule, e.rule
-                )
-            } else {
-                format!(
-                    "stale baseline entry (`{}`): the code it covered is gone; \
-                     run --fix-baseline",
-                    e.rule
-                )
-            },
-            baselined: false,
-        });
-    }
-    out
-}
-
-/// Mark findings the baseline grandfathers. Meta-family findings
-/// (`bad_suppression`, `stale_baseline`, `baseline_debt`) can not be
-/// baselined: the escape hatches must always fail the gate.
-pub fn apply_baseline(findings: &mut [Finding], baseline: &Baseline) {
-    for f in findings.iter_mut() {
-        let meta = rule(f.rule).is_some_and(|r| r.family == "meta");
-        f.baselined = !meta && baseline.covers(f);
-    }
 }
 
 /// Locate the workspace root: walk up from `start` to the first directory

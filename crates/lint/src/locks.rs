@@ -298,7 +298,6 @@ pub fn cycle_findings(edges: &[LockEdge]) -> Vec<Finding> {
                 e.held,
                 members.join(", ")
             ),
-            baselined: false,
         });
     }
     out
@@ -334,7 +333,6 @@ fn emit(
         line,
         snippet: src.line_text(line).to_string(),
         message,
-        baselined: false,
     };
     if !out.contains(&f) {
         out.push(f);

@@ -1,19 +1,19 @@
 //! The rule catalog and per-file checks.
 //!
-//! Six families, mirroring the contracts earlier PRs established:
+//! Six families, mirroring the contracts earlier PRs established. Each
+//! rule has one checker: what clippy can state lives in clippy (see the
+//! last paragraph), and this catalog holds the rest.
 //!
-//! * **determinism** — scoped to the simulation crates (`pdes`,
-//!   `network`, `fattree`, `workloads`, `faults`, `sweep`): byte-identical
-//!   replay is the foundation every comparison view stands on, so nothing
-//!   order-sensitive (hash-map iteration, wall-clock reads, ambient RNG,
-//!   unordered parallel float reductions) may reach simulation state.
-//! * **panic-freedom** — scoped to the error boundary plus the engine and
-//!   render hot paths (`cli`, `faults`, `serve`, `pdes`, `render`, the
-//!   linter itself, the `network`/`fattree` config paths and the obs
-//!   exporters): user input must surface as `HrvizError` or an HTTP
-//!   error, never a panic. The indexing rule is syntax-aware: indexing a
-//!   const-sized array in bounds, or an index the function already
-//!   compared against `.len()`, is allowed.
+//! * **determinism** — scoped to the simulation crates ([`SIM_CRATES`]):
+//!   byte-identical replay is the foundation every comparison view stands
+//!   on, so no unordered parallel float reduction may reach simulation
+//!   state.
+//! * **panic** — scoped to the error boundary plus the engine and render
+//!   hot paths ([`PANIC_CRATES`], [`PANIC_FILES`]): user input must
+//!   surface as `HrvizError` or an HTTP error, never a panic. The
+//!   indexing rule is syntax-aware: indexing a const-sized array in
+//!   bounds, or an index the function already compared against `.len()`,
+//!   is allowed.
 //! * **concurrency** — workspace-wide: the token-tree lock pass in
 //!   [`crate::locks`] flags nested-lock cycles and blocking calls under a
 //!   live guard.
@@ -23,16 +23,21 @@
 //! * **invariants** — workspace-wide: every `Lp` impl must override
 //!   `audit`, and every `Lp` impl that handles events must override
 //!   `snapshot`/`restore` (the Time Warp prerequisite).
-//! * **meta** — malformed suppressions, stale baseline entries and
-//!   baseline debt itself.
+//! * **meta** — malformed suppressions.
+//!
+//! Clippy holds the rest of both scopes. Each [`SIM_CRATES`] crate
+//! carries a `clippy.toml` whose `disallowed-types`/`disallowed-methods`
+//! ban hash collections, wall-clock reads and ambient RNGs, and the
+//! crate roots of [`PANIC_CRATES`] plus each of [`PANIC_FILES`] deny
+//! `clippy::{unwrap_used, expect_used, panic, unreachable, todo,
+//! unimplemented}`. `tests/scope_map.rs` holds both to these lists.
 
 use crate::source::{find, SourceFile};
 use crate::tokens::{TokKind, TokenFile};
-use std::collections::BTreeMap;
 
 /// One rule's identity and documentation.
 pub struct RuleInfo {
-    /// Stable id used in diagnostics, suppressions and the baseline.
+    /// Stable id used in diagnostics and suppressions.
     pub id: &'static str,
     /// Rule family.
     pub family: &'static str,
@@ -40,40 +45,14 @@ pub struct RuleInfo {
     pub desc: &'static str,
 }
 
-/// The full catalog. `bad_suppression`, `stale_baseline` and
-/// `baseline_debt` are meta-rules: they police the escape hatches and can
-/// be neither suppressed nor baselined.
+/// The full catalog. `bad_suppression` is a meta-rule: it polices the
+/// escape hatch and cannot itself be suppressed.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "hash_collections",
-        family: "determinism",
-        desc: "no HashMap/HashSet in sim-crate non-test code (iteration order is unseeded); \
-               use BTreeMap/BTreeSet or sort before iterating",
-    },
-    RuleInfo {
-        id: "wall_clock",
-        family: "determinism",
-        desc: "no std::time::Instant/SystemTime in sim-crate non-test code; wall-clock reads \
-               make replays diverge (telemetry-only uses need lint:allow with a reason)",
-    },
-    RuleInfo {
-        id: "ambient_rng",
-        family: "determinism",
-        desc: "no thread_rng/OsRng/from_entropy/rand::random in sim-crate non-test code; all \
-               randomness must flow from the run's seed",
-    },
     RuleInfo {
         id: "unordered_float_reduction",
         family: "determinism",
         desc: "no .sum()/.reduce()/.fold()/.product() on a par_iter chain in sim crates; \
                float addition is not associative, so reduce sequentially or over sorted parts",
-    },
-    RuleInfo {
-        id: "panic_unwrap",
-        family: "panic",
-        desc: "no unwrap/expect/panic!/unreachable!/todo! in the panic-free scope (cli, \
-               faults, serve, pdes, render, lint, config paths, obs exporters); return \
-               HrvizError instead",
     },
     RuleInfo {
         id: "slice_index",
@@ -116,17 +95,6 @@ pub const RULES: &[RuleInfo] = &[
         family: "meta",
         desc: "every lint:allow must name a known rule and carry a non-empty reason=\"…\"",
     },
-    RuleInfo {
-        id: "stale_baseline",
-        family: "meta",
-        desc: "baseline entries whose code is gone must be deleted (run --fix-baseline)",
-    },
-    RuleInfo {
-        id: "baseline_debt",
-        family: "meta",
-        desc: "the baseline must be empty: fix the finding or carry an inline \
-               lint:allow(rule, reason=…) at the site",
-    },
 ];
 
 /// Look a rule up by id.
@@ -143,16 +111,14 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Trimmed source line (also the baseline matching key).
+    /// Trimmed source line.
     pub snippet: String,
     /// Human explanation.
     pub message: String,
-    /// Set by baseline application: grandfathered, does not fail --check.
-    pub baselined: bool,
 }
 
 /// Crates whose non-test code must be deterministic.
-const SIM_CRATES: &[&str] =
+pub const SIM_CRATES: &[&str] =
     &["pdes", "network", "fattree", "workloads", "faults", "sweep", "stream"];
 
 /// The crate a workspace-relative path belongs to (`crates/pdes/…` →
@@ -167,27 +133,31 @@ fn in_sim_scope(path: &str) -> bool {
     SIM_CRATES.contains(&crate_of(path))
 }
 
-/// The panic-free scope: the error-boundary crates (`cli`, `faults`,
-/// `serve`), the engine and render hot paths (`pdes`, `render` — a panic
-/// there takes a whole sweep or request down), the linter itself (the
-/// self-check CI job), the config (user-input) paths of the two topology
-/// crates, and the obs exporter/ring-buffer modules invoked from failure
-/// handlers.
+/// The crates wholly in the panic-free scope: the error boundary (`cli`,
+/// `faults`, `serve`) and the engine and render hot paths (`pdes`,
+/// `render` — a panic there takes a whole sweep or request down).
+pub const PANIC_CRATES: &[&str] = &["cli", "faults", "serve", "pdes", "render"];
+
+/// Single files in the panic-free scope, inside crates that are not.
+pub const PANIC_FILES: &[&str] = &[
+    // The config (user-input) paths of the two topology crates.
+    "crates/network/src/config.rs",
+    "crates/fattree/src/config.rs",
+    // The observability exporters run inside failure handlers
+    // (watchdog trips, worker panics): they must not panic there.
+    "crates/obs/src/chrome.rs",
+    "crates/obs/src/recorder.rs",
+    "crates/obs/src/prom.rs",
+    // The projection-script parser and request validation read socket
+    // bytes (`POST /views`): a hostile script must be a structured
+    // error, not a dead worker.
+    "crates/core/src/script.rs",
+    "crates/core/src/spec.rs",
+    "crates/core/src/request.rs",
+];
+
 fn in_panic_scope(path: &str) -> bool {
-    matches!(crate_of(path), "cli" | "faults" | "serve" | "pdes" | "render" | "lint")
-        || path == "crates/network/src/config.rs"
-        || path == "crates/fattree/src/config.rs"
-        // The observability exporters run inside failure handlers
-        // (watchdog trips, worker panics): they must not panic there.
-        || path == "crates/obs/src/chrome.rs"
-        || path == "crates/obs/src/recorder.rs"
-        || path == "crates/obs/src/prom.rs"
-        // The projection-script parser and request validation read socket
-        // bytes (`POST /views`): a hostile script must be a structured
-        // error, not a dead worker.
-        || path == "crates/core/src/script.rs"
-        || path == "crates/core/src/spec.rs"
-        || path == "crates/core/src/request.rs"
+    PANIC_CRATES.contains(&crate_of(path)) || PANIC_FILES.contains(&path)
 }
 
 /// Run the path-scoped token/lexical rules over one file. The lock and
@@ -196,30 +166,10 @@ fn in_panic_scope(path: &str) -> bool {
 pub fn check_file(f: &SourceFile, tf: &TokenFile) -> Vec<Finding> {
     let mut out = Vec::new();
     if in_sim_scope(&f.path) {
-        ident_rule(f, "hash_collections", &["HashMap", "HashSet"], &mut out, |w| {
-            format!("{w} in simulation code: iteration order is unseeded and varies per run")
-        });
-        ident_rule(f, "wall_clock", &["Instant", "SystemTime"], &mut out, |w| {
-            format!("std::time::{w} in simulation code: wall-clock reads break replay")
-        });
-        ident_rule(
-            f,
-            "ambient_rng",
-            &["thread_rng", "ThreadRng", "OsRng", "from_entropy", "entropy_rng"],
-            &mut out,
-            |w| format!("{w} in simulation code: randomness must flow from the run seed"),
-        );
         float_reduction_rule(f, &mut out);
     }
     if in_panic_scope(&f.path) {
-        panic_rule(f, &mut out);
-        // The linter itself is unwrap-free but exempt from the index
-        // audit: its token arrays (`toks`, `match_of`) are same-length by
-        // construction and indices flow through the delimiter matcher,
-        // an invariant the rule's local proof shapes cannot express.
-        if crate_of(&f.path) != "lint" {
-            slice_index_rule(f, tf, &mut out);
-        }
+        slice_index_rule(f, tf, &mut out);
     }
     lp_contract_rules(f, tf, &mut out);
     bad_suppression_rule(f, &mut out);
@@ -238,7 +188,6 @@ fn emit(f: &SourceFile, rule: &'static str, at: usize, message: String, out: &mu
         line,
         snippet: f.line_text(line).to_string(),
         message,
-        baselined: false,
     });
 }
 
@@ -260,20 +209,6 @@ fn ident_occurrences(f: &SourceFile, word: &str) -> Vec<usize> {
         }
     }
     hits
-}
-
-fn ident_rule(
-    f: &SourceFile,
-    rule: &'static str,
-    words: &[&str],
-    out: &mut Vec<Finding>,
-    msg: impl Fn(&str) -> String,
-) {
-    for word in words {
-        for at in ident_occurrences(f, word) {
-            emit(f, rule, at, msg(word), out);
-        }
-    }
 }
 
 /// A `par_iter`-family call whose statement also contains a float-style
@@ -300,36 +235,6 @@ fn float_reduction_rule(f: &SourceFile, out: &mut Vec<Finding>) {
                         "{src} chain ends in a reduction: parallel float reduction order is \
                          nondeterministic; collect and reduce sequentially"
                     ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// `.unwrap()`, `.expect(` and the panicking macros in the panic scope.
-fn panic_rule(f: &SourceFile, out: &mut Vec<Finding>) {
-    for pat in [".unwrap()", ".expect("] {
-        let mut from = 0;
-        while let Some(at) = find(&f.masked, pat.as_bytes(), from) {
-            from = at + 1;
-            emit(
-                f,
-                "panic_unwrap",
-                at,
-                format!("`{pat}` in panic-free code: return an HrvizError instead"),
-                out,
-            );
-        }
-    }
-    for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-        for at in ident_occurrences(f, mac) {
-            if f.masked.get(at + mac.len()) == Some(&b'!') {
-                emit(
-                    f,
-                    "panic_unwrap",
-                    at,
-                    format!("`{mac}!` in panic-free code: return an HrvizError instead"),
                     out,
                 );
             }
@@ -586,9 +491,9 @@ fn lp_contract_rules(f: &SourceFile, tf: &TokenFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Suppressions must name a known rule and carry a non-empty reason; the
-/// meta-rules cannot be suppressed at all. Fires even on test lines: a
-/// malformed allow is wrong anywhere.
+/// Suppressions must name a known rule and carry a non-empty reason;
+/// `bad_suppression` itself cannot be suppressed. Fires even on test
+/// lines: a malformed allow is wrong anywhere.
 fn bad_suppression_rule(f: &SourceFile, out: &mut Vec<Finding>) {
     for s in &f.suppressions {
         let known = rule(&s.rule).is_some();
@@ -610,16 +515,6 @@ fn bad_suppression_rule(f: &SourceFile, out: &mut Vec<Finding>) {
             line: s.line,
             snippet: f.line_text(s.line).to_string(),
             message,
-            baselined: false,
         });
     }
-}
-
-/// For `--fix-baseline` reporting: findings per rule id.
-pub fn count_by_rule(findings: &[Finding]) -> BTreeMap<&'static str, usize> {
-    let mut m = BTreeMap::new();
-    for f in findings {
-        *m.entry(f.rule).or_insert(0) += 1;
-    }
-    m
 }

@@ -1,12 +1,12 @@
 // Fixture: a well-formed allow — known rule, non-empty reason — passes,
 // both alone on a line and trailing code.
-pub fn reasoned(xs: &[u32]) -> usize {
-    // lint:allow(hash_collections, reason="order-insensitive membership probe; never iterated")
-    let set: std::collections::HashSet<u32> = xs.iter().copied().collect();
-    set.len()
+use rayon::prelude::*;
+
+pub fn reasoned(xs: &[f64]) -> f64 {
+    // lint:allow(unordered_float_reduction, reason="integral values: any summation order is exact")
+    xs.par_iter().sum()
 }
 
-pub fn trailing_ns() -> u128 {
-    let t0 = std::time::Instant::now(); // lint:allow(wall_clock, reason="telemetry-only timestamp")
-    t0.elapsed().as_nanos()
+pub fn trailing(xs: &[u32]) -> u32 {
+    xs[0] // lint:allow(slice_index, reason="callers pass a non-empty slice")
 }

@@ -1,12 +1,13 @@
 // Fixture: allows without a reason, or naming an unknown rule, must be
 // flagged (even in test code — a malformed allow is wrong anywhere).
-// lint:allow(hash_collections)
-pub fn reasonless(xs: &[u32]) -> usize {
-    let set: std::collections::HashSet<u32> = xs.iter().copied().collect();
-    set.len()
+use rayon::prelude::*;
+
+// lint:allow(unordered_float_reduction)
+pub fn reasonless(xs: &[f64]) -> f64 {
+    xs.par_iter().sum()
 }
 
-// lint:allow(hash_collections, reason="")
+// lint:allow(unordered_float_reduction, reason="")
 pub fn empty_reason() -> u32 {
     0
 }

@@ -21,34 +21,10 @@ const SIM_PATH: &str = "crates/pdes/src/fixture.rs";
 const BOUNDARY_PATH: &str = "crates/cli/src/fixture.rs";
 
 #[test]
-fn hash_collections_rule() {
-    assert!(rules_fired(SIM_PATH, "hash_collections_positive.rs").contains(&"hash_collections"));
-    assert_eq!(rules_fired(SIM_PATH, "hash_collections_negative.rs"), Vec::<&str>::new());
-}
-
-#[test]
-fn wall_clock_rule() {
-    assert!(rules_fired(SIM_PATH, "wall_clock_positive.rs").contains(&"wall_clock"));
-    assert_eq!(rules_fired(SIM_PATH, "wall_clock_negative.rs"), Vec::<&str>::new());
-}
-
-#[test]
-fn ambient_rng_rule() {
-    assert!(rules_fired(SIM_PATH, "ambient_rng_positive.rs").contains(&"ambient_rng"));
-    assert_eq!(rules_fired(SIM_PATH, "ambient_rng_negative.rs"), Vec::<&str>::new());
-}
-
-#[test]
 fn unordered_float_reduction_rule() {
     assert!(rules_fired(SIM_PATH, "unordered_float_reduction_positive.rs")
         .contains(&"unordered_float_reduction"));
     assert_eq!(rules_fired(SIM_PATH, "unordered_float_reduction_negative.rs"), Vec::<&str>::new());
-}
-
-#[test]
-fn panic_unwrap_rule() {
-    assert!(rules_fired(BOUNDARY_PATH, "panic_unwrap_positive.rs").contains(&"panic_unwrap"));
-    assert_eq!(rules_fired(BOUNDARY_PATH, "panic_unwrap_negative.rs"), Vec::<&str>::new());
 }
 
 #[test]
@@ -109,22 +85,21 @@ fn bad_suppression_rule() {
     let fired = rules_fired(SIM_PATH, "bad_suppression_positive.rs");
     assert!(fired.contains(&"bad_suppression"));
     // The malformed allows do NOT suppress the underlying finding.
-    assert!(fired.contains(&"hash_collections"));
+    assert!(fired.contains(&"unordered_float_reduction"));
     assert_eq!(rules_fired(SIM_PATH, "bad_suppression_negative.rs"), Vec::<&str>::new());
 }
 
 #[test]
 fn panic_scope_is_boundary_only() {
-    // The same panicking fixture is clean when it lives in a crate outside
+    // The same indexing fixture is clean when it lives in a crate outside
     // the panic-free scope (e.g. core) — scoping, not a global ban.
     assert_eq!(
-        rules_fired("crates/core/src/fixture.rs", "panic_unwrap_positive.rs"),
+        rules_fired("crates/core/src/fixture.rs", "slice_index_positive.rs"),
         Vec::<&str>::new()
     );
     // The engine and render hot paths joined the scope in PR 9: a panic
     // there takes a whole sweep or request down.
     for hot in ["crates/pdes/src/fixture.rs", "crates/render/src/fixture.rs"] {
-        assert!(rules_fired(hot, "panic_unwrap_positive.rs").contains(&"panic_unwrap"), "{hot}");
         assert!(rules_fired(hot, "slice_index_positive.rs").contains(&"slice_index"), "{hot}");
     }
 }
@@ -132,29 +107,29 @@ fn panic_scope_is_boundary_only() {
 #[test]
 fn serve_request_path_is_in_the_panic_scope() {
     // The HTTP request path must answer errors, not unwind under a worker:
-    // both panic-family rules fire for code placed in crates/serve.
+    // the indexing rule fires for code placed in crates/serve.
     let serve_path = "crates/serve/src/fixture.rs";
-    assert!(rules_fired(serve_path, "panic_unwrap_positive.rs").contains(&"panic_unwrap"));
     assert!(rules_fired(serve_path, "slice_index_positive.rs").contains(&"slice_index"));
-    // ...but serve is NOT in the determinism scope: a server may hash and
-    // read the clock (latency histograms, response caches).
-    assert_eq!(rules_fired(serve_path, "hash_collections_positive.rs"), Vec::<&str>::new());
-    assert_eq!(rules_fired(serve_path, "wall_clock_positive.rs"), Vec::<&str>::new());
+    // ...but serve is NOT in the determinism scope: a server may reduce
+    // in parallel (latency histograms, response caches).
+    assert_eq!(
+        rules_fired(serve_path, "unordered_float_reduction_positive.rs"),
+        Vec::<&str>::new()
+    );
 }
 
 #[test]
 fn obs_exporter_modules_join_the_panic_scope() {
     // The exporter and ring-buffer modules run inside failure handlers
-    // (flight dumps on watchdog trips and worker panics): both panic
-    // rules fire for code placed in any of the three allow sites.
+    // (flight dumps on watchdog trips and worker panics): the indexing
+    // rule fires for code placed in any of the three allow sites.
     for site in ["crates/obs/src/chrome.rs", "crates/obs/src/recorder.rs", "crates/obs/src/prom.rs"]
     {
         let fired = rules_fired(site, "obs_exporter_positive.rs");
-        assert!(fired.contains(&"panic_unwrap"), "{site}: {fired:?}");
-        assert!(fired.contains(&"slice_index"), "{site}: {fired:?}");
+        assert_eq!(fired, vec!["slice_index"], "{site}");
         assert_eq!(rules_fired(site, "obs_exporter_negative.rs"), Vec::<&str>::new(), "{site}");
     }
-    // The scope is module-precise, not crate-wide: the same panicking
+    // The scope is module-precise, not crate-wide: the same indexing
     // fixture is clean elsewhere in obs (the collector may assert).
     assert_eq!(
         rules_fired("crates/obs/src/collector.rs", "obs_exporter_positive.rs"),
@@ -164,20 +139,32 @@ fn obs_exporter_modules_join_the_panic_scope() {
 
 #[test]
 fn determinism_scope_is_sim_only() {
-    // HashMaps are fine outside the sim crates (core's caches use them).
+    // Parallel reductions are fine outside the sim crates (core's
+    // aggregates run after the simulation), and fire in every sim crate.
     assert_eq!(
-        rules_fired("crates/core/src/fixture.rs", "hash_collections_positive.rs"),
+        rules_fired("crates/core/src/fixture.rs", "unordered_float_reduction_positive.rs"),
         Vec::<&str>::new()
     );
+    for sim in ["crates/pdes/src/fixture.rs", "crates/stream/src/fixture.rs"] {
+        assert!(
+            rules_fired(sim, "unordered_float_reduction_positive.rs")
+                .contains(&"unordered_float_reduction"),
+            "{sim}"
+        );
+    }
 }
 
 #[test]
 fn positive_findings_carry_location_and_snippet() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wall_clock_positive.rs");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/unordered_float_reduction_positive.rs");
     let text = std::fs::read_to_string(path).expect("fixture");
     let findings = lint_text(SIM_PATH, &text);
-    let f = findings.iter().find(|f| f.rule == "wall_clock").expect("a wall_clock finding");
+    let f = findings
+        .iter()
+        .find(|f| f.rule == "unordered_float_reduction")
+        .expect("an unordered_float_reduction finding");
     assert_eq!(f.file, SIM_PATH);
     assert!(f.line > 1, "line should be 1-based and past the header comment");
-    assert!(f.snippet.contains("Instant"), "snippet carries the source line: {}", f.snippet);
+    assert!(f.snippet.contains("par_iter"), "snippet carries the source line: {}", f.snippet);
 }

@@ -1,7 +1,7 @@
-//! The live workspace must be lint-clean with an EMPTY baseline — the
-//! same gate CI runs, kept inside `cargo test` so it cannot rot.
+//! The live workspace must be lint-clean — the same gate CI runs, kept
+//! inside `cargo test` so it cannot rot.
 
-use hrviz_lint::{baseline_findings, lint_text, lint_workspace, Baseline};
+use hrviz_lint::lint_workspace;
 use std::path::Path;
 
 fn root() -> &'static Path {
@@ -9,49 +9,16 @@ fn root() -> &'static Path {
 }
 
 #[test]
-fn workspace_is_clean_and_the_baseline_is_empty() {
-    let root = root();
-    let text = std::fs::read_to_string(root.join("lint-baseline.json")).expect("baseline file");
-    let baseline = Baseline::parse(&text).expect("baseline parses");
-    assert!(
-        baseline.entries.is_empty(),
-        "the baseline was drained in PR 9 and must stay empty — fix the finding or carry an \
-         inline lint:allow(rule, reason=\"…\"): {:?}",
-        baseline.entries
-    );
-
-    let mut findings = lint_workspace(root).expect("workspace scan");
-    // A non-empty baseline would surface here as baseline_debt /
-    // stale_baseline findings; with an empty one this adds nothing.
-    let meta = baseline_findings(&baseline, &findings);
-    findings.extend(meta);
-
+fn workspace_has_no_findings() {
+    let findings = lint_workspace(root()).expect("workspace scan");
     assert!(
         findings.is_empty(),
-        "workspace has lint findings:\n{}",
+        "workspace has lint findings — fix each one or carry an inline \
+         lint:allow(rule, reason=\"…\"):\n{}",
         findings
             .iter()
             .map(|f| format!("  [{}] {}:{} {}", f.rule, f.file, f.line, f.snippet))
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-#[test]
-fn fix_baseline_round_trips() {
-    // What --fix-baseline writes must parse back to entries that cover
-    // exactly the findings it was rendered from (including escapes).
-    let text = "pub fn f(xs: &[u32]) -> u32 {\n    let s = \"quote \\\" here\";\n    \
-                xs[9] + s.len() as u32\n}\n";
-    let findings = lint_text("crates/cli/src/fixture.rs", text);
-    assert!(!findings.is_empty(), "fixture should produce at least one finding");
-    let rendered = Baseline::render(&findings);
-    let parsed = Baseline::parse(&rendered).expect("rendered baseline parses");
-    assert_eq!(parsed.entries.len(), findings.len());
-    for f in &findings {
-        assert!(parsed.covers(f), "round-tripped baseline misses {f:?}");
-    }
-    assert!(parsed.stale(&findings).is_empty());
-    // And a second render of the same set is byte-identical (stable output).
-    assert_eq!(rendered, Baseline::render(&findings));
 }

@@ -1,6 +1,17 @@
 //! Network specification: Dragonfly shape, link parameters, routing choice,
 //! buffering, packetization and sampling.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::routing::RoutingAlgorithm;
 use hrviz_faults::HrvizError;
 use hrviz_pdes::SimTime;

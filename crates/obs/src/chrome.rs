@@ -13,7 +13,19 @@
 //! Span ids and parent ids ride along in `args` — they are telemetry
 //! identifiers only and never influence simulation state.
 //!
-//! This module is inside hrviz-lint's panic-freedom scope.
+//! This module is inside the panic-free scope (hrviz-lint's `slice_index`
+//! and the clippy deny below).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 use std::io;
 use std::path::Path;

@@ -3,8 +3,7 @@
 //! Everything hrviz writes or reads as JSON goes through this module —
 //! JSONL traces and manifests here, the run store's manifests and column
 //! files, fault schedules, slice segments and progress watermarks, sweep
-//! journals, the lint baseline and cache — with no external serialization
-//! crate. Integers keep full 64-bit precision (separate `U64`/`I64`
+//! journals and the lint report — with no external serialization crate. Integers keep full 64-bit precision (separate `U64`/`I64`
 //! variants instead of routing everything through `f64`); non-finite
 //! floats render as `null` per RFC 8259.
 //!

@@ -9,7 +9,19 @@
 //! bucket estimator; span aggregates render as `_duration_ns` sum/count
 //! plus a `_max` gauge.
 //!
-//! This module is inside hrviz-lint's panic-freedom scope.
+//! This module is inside the panic-free scope (hrviz-lint's `slice_index`
+//! and the clippy deny below).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 use std::fmt::Write as _;
 

@@ -9,9 +9,20 @@
 //! incident. Both rings are bounded, so a long-lived server never grows
 //! telemetry state without bound.
 //!
-//! This module is inside hrviz-lint's panic-freedom scope: dump paths run
-//! exactly when something already went wrong, so they must not add a
-//! second failure.
+//! This module is inside the panic-free scope (hrviz-lint's `slice_index`
+//! and the clippy deny below): dump paths run exactly when something
+//! already went wrong, so they must not add a second failure.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 use std::collections::VecDeque;
 use std::path::PathBuf;

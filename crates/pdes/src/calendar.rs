@@ -169,8 +169,11 @@ fn list(next: &[u32], head: u32) -> impl Iterator<Item = u32> + '_ {
 
 /// The queue key of the event in slot `at`.
 fn key_at<P>(slab: &[Option<Event<P>>], at: u32) -> SlotKey {
+    #[expect(
+        clippy::expect_used,
+        reason = "internal invariant: a slot is linked into a list only while it holds an event"
+    )]
     // lint:allow(slice_index, reason="list links only ever hold slab indices minted by store()")
-    // lint:allow(panic_unwrap, reason="internal invariant: a slot is linked into a list only while it holds an event")
     let ev = slab[at as usize].as_ref().expect("a ring list threads occupied slots");
     SlotKey::new(&ev.key, at)
 }
@@ -202,12 +205,17 @@ impl<P> CalendarQueue<P> {
         self.slab.iter().flatten()
     }
 
+    // The `expect` is the `if` branch's tail expression, which cannot carry
+    // an attribute of its own.
+    #[expect(
+        clippy::expect_used,
+        reason = "4 billion pending events cannot be held in memory; the panic names the limit instead of wrapping slot ids"
+    )]
     fn store(&mut self, ev: Event<P>) -> u32 {
         if self.free == NIL {
             let at = u32::try_from(self.slab.len()).ok().filter(|&at| at != NIL);
             self.slab.push(Some(ev));
             self.next.push(NIL);
-            // lint:allow(panic_unwrap, reason="4 billion pending events cannot be held in memory; the panic names the limit instead of wrapping slot ids")
             at.expect("pending-event slab outgrew u32 slots")
         } else {
             let at = self.free;
@@ -220,8 +228,11 @@ impl<P> CalendarQueue<P> {
     }
 
     fn take(&mut self, at: u32) -> Event<P> {
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant: a key leaves `current` exactly once, when its slot is vacated here"
+        )]
         // lint:allow(slice_index, reason="queued keys only ever hold slab indices minted by store()")
-        // lint:allow(panic_unwrap, reason="internal invariant: a key leaves `current` exactly once, when its slot is vacated here")
         let ev = self.slab[at as usize].take().expect("a queued key points at an occupied slot");
         // lint:allow(slice_index, reason="next is built in lockstep with slab")
         self.next[at as usize] = self.free;

@@ -219,7 +219,10 @@ impl<P, L: Lp<P>> Engine<P, L> {
     pub fn run_until(&mut self, until: SimTime) -> RunOutcome {
         match self.run_loop(until, u64::MAX) {
             Ok(outcome) => outcome,
-            // lint:allow(panic_unwrap, reason="run_loop only errs on a stall, and the limit is u64::MAX; unreachable! documents the invariant")
+            #[expect(
+                clippy::unreachable,
+                reason = "run_loop only errs on a stall, and the limit is u64::MAX; unreachable! documents the invariant"
+            )]
             Err(e) => unreachable!("unchecked run reported a stall: {e}"),
         }
     }
@@ -231,7 +234,11 @@ impl<P, L: Lp<P>> Engine<P, L> {
     /// passes `now` and [`Engine::schedule`]'s assert is all a caller needs.
     fn run_loop(&mut self, until: SimTime, stall_limit: u64) -> Result<RunOutcome, SimError> {
         self.init();
-        // lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order"
+        )]
         let t0 = self.collector.is_enabled().then(std::time::Instant::now);
         let outcome = loop {
             if self.stats.events_processed >= self.budget {

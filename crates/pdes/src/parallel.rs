@@ -252,7 +252,10 @@ impl<P: Send, L: Lp<P>> ParallelEngine<P, L> {
         match self.run_core(u64::MAX) {
             Ok(stats) => stats,
             // The stall cap is u64::MAX: the watchdog cannot trip.
-            // lint:allow(panic_unwrap, reason="run_core only errs on a stall, and the cap is u64::MAX; unreachable! documents the invariant")
+            #[expect(
+                clippy::unreachable,
+                reason = "run_core only errs on a stall, and the cap is u64::MAX; unreachable! documents the invariant"
+            )]
             Err(e) => unreachable!("uncapped run reported a stall: {e}"),
         }
     }
@@ -284,7 +287,11 @@ impl<P: Send, L: Lp<P>> ParallelEngine<P, L> {
         let lanes =
             timing && self.collector.level().is_some_and(|l| l >= hrviz_obs::LogLevel::Debug);
         let col = self.collector.clone();
-        // lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order"
+        )]
         let t0 = timing.then(std::time::Instant::now);
         let mut peak_queue_depth = 0u64;
         let mut windows = 0u64;
@@ -309,7 +316,11 @@ impl<P: Send, L: Lp<P>> ParallelEngine<P, L> {
                 .parts
                 .par_iter_mut()
                 .map(|part| {
-                    // lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
+                    #[expect(
+                        clippy::disallowed_methods,
+                        clippy::disallowed_types,
+                        reason = "telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order"
+                    )]
                     let w0 = timing.then(std::time::Instant::now);
                     let start_us = if lanes { col.now_us().unwrap_or(0) } else { 0 };
                     let events_before = part.events_processed;

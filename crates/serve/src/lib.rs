@@ -43,13 +43,22 @@
 //! before exit. Connections are keep-alive by default (HTTP/1.1), with a
 //! per-connection request cap and the read timeout doubling as the idle
 //! timeout. The request path is panic-free (enforced by hrviz-lint's
-//! panic scope plus `clippy::unwrap_used`); a worker-level unwind guard
+//! `slice_index` plus the clippy deny below); a worker-level unwind guard
 //! converts any residual panic into a `500` and a `serve/panics` counter
 //! rather than a dead worker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod cache;
 pub mod handlers;

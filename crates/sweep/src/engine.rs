@@ -19,7 +19,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-// lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
+#[expect(
+    clippy::disallowed_types,
+    reason = "telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order"
+)]
 use std::time::{Duration, Instant};
 
 use hrviz_faults::HrvizError;
@@ -141,7 +144,11 @@ impl SweepEngine {
         spec: &SweepSpec,
         opts: &SweepOptions,
     ) -> Result<SweepOutcome, HrvizError> {
-        // lint:allow(wall_clock, reason="telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order")
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::disallowed_types,
+            reason = "telemetry only: wall time feeds obs perf reporting and never reaches simulation state or event order"
+        )]
         let start = Instant::now();
         let obs = hrviz_obs::get();
         let _span = obs.span("sweep/run");
@@ -242,7 +249,11 @@ impl SweepEngine {
                         // Per-run lane timing for the Chrome trace export;
                         // skipped entirely when the collector is disabled.
                         let lane_start = obs.now_us();
-                        // lint:allow(wall_clock, reason="telemetry only: per-run timeline lanes for the Chrome trace export, never reaches simulation state or event order")
+                        #[expect(
+                            clippy::disallowed_methods,
+                            clippy::disallowed_types,
+                            reason = "telemetry only: per-run timeline lanes for the Chrome trace export, never reaches simulation state or event order"
+                        )]
                         let t0 = lane_start.map(|_| Instant::now());
                         let (result, used) =
                             self.attempt_run(cfg, &prov, opts, prior_attempts, &record);

@@ -547,7 +547,7 @@ mod tests {
         assert!(matches!(runs[0].routing, RoutingAlgorithm::Minimal));
         assert!(matches!(runs[4].routing, RoutingAlgorithm::Adaptive { .. }));
         // All eight canonical strings (and hence run ids) are distinct.
-        let ids: std::collections::HashSet<String> = runs.iter().map(RunConfig::run_id).collect();
+        let ids: std::collections::BTreeSet<String> = runs.iter().map(RunConfig::run_id).collect();
         assert_eq!(ids.len(), 8);
     }
 

@@ -356,7 +356,7 @@ pub fn generate_app(job_id: JobId, job: &JobMeta, cfg: &AppConfig) -> Vec<MsgInj
 mod tests {
     use super::*;
     use hrviz_network::TerminalId;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn job(n: u32) -> JobMeta {
         JobMeta { name: "app".into(), terminals: (0..n).map(TerminalId).collect() }
@@ -421,7 +421,7 @@ mod tests {
         let cfg = AppConfig::new(AppKind::AmrBoxlib).with_scale(1.0 / 64.0);
         let n = 1728;
         let msgs = generate_app(0, &job(n), &cfg);
-        let mut per_rank: HashMap<u32, u64> = HashMap::new();
+        let mut per_rank: BTreeMap<u32, u64> = BTreeMap::new();
         for m in &msgs {
             *per_rank.entry(m.src.0).or_default() += m.bytes;
         }
@@ -441,7 +441,7 @@ mod tests {
         let n = 64;
         let msgs = generate_app(0, &job(n), &cfg);
         // Every rank sends to log2(n) distinct stride partners.
-        let partners: std::collections::HashSet<_> =
+        let partners: std::collections::BTreeSet<_> =
             msgs.iter().filter(|m| m.src.0 == 0).map(|m| m.dst.0).collect();
         assert_eq!(partners.len(), 6); // strides 1,2,4,8,16,32
     }

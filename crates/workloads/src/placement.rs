@@ -182,7 +182,7 @@ pub fn place_jobs(
 mod tests {
     use super::*;
     use hrviz_network::DragonflyConfig;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn topo() -> Topology {
         Topology::new(DragonflyConfig::canonical(3)) // g=19, a=6, p=3: 342 terminals
@@ -209,8 +209,8 @@ mod tests {
             let jobs =
                 place_jobs(topo(), &[req("a", 100, policies[0]), req("b", 120, policies[1])], 7)
                     .unwrap();
-            let a: HashSet<_> = jobs[0].terminals.iter().collect();
-            let b: HashSet<_> = jobs[1].terminals.iter().collect();
+            let a: BTreeSet<_> = jobs[0].terminals.iter().collect();
+            let b: BTreeSet<_> = jobs[1].terminals.iter().collect();
             assert!(a.is_disjoint(&b), "{policies:?}");
             assert_eq!(a.len(), 100);
             assert_eq!(b.len(), 120);
@@ -223,7 +223,7 @@ mod tests {
         let p = t.config().terminals_per_router;
         // 12 ranks = exactly 4 routers (p=3).
         let jobs = place_jobs(t, &[req("a", 12, PlacementPolicy::RandomRouter)], 3).unwrap();
-        let routers: HashSet<_> =
+        let routers: BTreeSet<_> =
             jobs[0].terminals.iter().map(|&x| t.router_of_terminal(x)).collect();
         assert_eq!(routers.len(), 12 / p as usize);
         // All terminals of every chosen router are in the job.
@@ -239,7 +239,7 @@ mod tests {
         let t = topo();
         let per_group = t.config().routers_per_group * t.config().terminals_per_router; // 18
         let jobs = place_jobs(t, &[req("a", 36, PlacementPolicy::RandomGroup)], 11).unwrap();
-        let groups: HashSet<_> =
+        let groups: BTreeSet<_> =
             jobs[0].terminals.iter().map(|&x| t.group_of_router(t.router_of_terminal(x))).collect();
         assert_eq!(groups.len(), (36 / per_group) as usize);
     }
@@ -248,7 +248,7 @@ mod tests {
     fn random_node_spreads_widely() {
         let t = topo();
         let jobs = place_jobs(t, &[req("a", 60, PlacementPolicy::RandomNode)], 5).unwrap();
-        let routers: HashSet<_> =
+        let routers: BTreeSet<_> =
             jobs[0].terminals.iter().map(|&x| t.router_of_terminal(x)).collect();
         // With 60 random picks from 114 routers, far more routers than the
         // 20 whole-router minimum should be touched.

@@ -227,7 +227,7 @@ mod tests {
         let msgs = generate_synthetic(0, &job(16), &cfg(TrafficPattern::UniformRandom));
         assert!(msgs.iter().all(|m| m.src != m.dst));
         // All ranks participate as sources.
-        let srcs: std::collections::HashSet<_> = msgs.iter().map(|m| m.src).collect();
+        let srcs: std::collections::BTreeSet<_> = msgs.iter().map(|m| m.src).collect();
         assert_eq!(srcs.len(), 16);
     }
 
@@ -269,7 +269,7 @@ mod tests {
         cfg.msgs_per_rank = n - 1;
         let msgs = generate_synthetic(0, &job(n), &cfg);
         for rank in 0..n {
-            let partners: std::collections::HashSet<_> =
+            let partners: std::collections::BTreeSet<_> =
                 msgs.iter().filter(|m| m.src.0 == rank).map(|m| m.dst.0).collect();
             assert_eq!(partners.len() as u32, n - 1, "rank {rank}");
         }
@@ -279,7 +279,7 @@ mod tests {
     fn permutation_is_fixed_and_self_free() {
         let msgs = generate_synthetic(0, &job(32), &cfg(TrafficPattern::Permutation));
         for rank in 0..32u32 {
-            let dsts: std::collections::HashSet<_> =
+            let dsts: std::collections::BTreeSet<_> =
                 msgs.iter().filter(|m| m.src.0 == rank).map(|m| m.dst.0).collect();
             assert_eq!(dsts.len(), 1, "permutation destination must be stable");
             assert!(!dsts.contains(&rank));
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn phases_are_staggered_across_ranks() {
         let msgs = generate_synthetic(0, &job(64), &cfg(TrafficPattern::NearestNeighbor));
-        let first: std::collections::HashSet<u64> =
+        let first: std::collections::BTreeSet<u64> =
             msgs.iter().filter(|m| m.time.as_nanos() < 100).map(|m| m.time.as_nanos()).collect();
         assert!(first.len() > 16, "ranks must not inject in lockstep");
     }

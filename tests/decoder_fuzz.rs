@@ -16,7 +16,6 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use hrviz_faults::{FaultEvent, FaultSchedule, HrvizError};
-use hrviz_lint::{Baseline, Finding};
 use hrviz_network::{MsgInjection, TerminalId};
 use hrviz_obs::{fingerprint64, Collector, Json};
 use hrviz_pdes::SimTime;
@@ -217,34 +216,6 @@ fn journals(cases: Range<u64>) {
     });
 }
 
-fn baselines(cases: Range<u64>) {
-    let finding = |rule: &'static str, file: &str, snippet: &str| Finding {
-        rule,
-        file: file.into(),
-        line: 1,
-        snippet: snippet.into(),
-        message: String::new(),
-        baselined: false,
-    };
-    let findings = [
-        finding("panic_unwrap", "crates/cli/src/lib.rs", "x.unwrap()"),
-        finding("slice_index", "crates/core/src/ü.rs", "let s = \"quote \\\" here\";\txs[9]"),
-        finding("blocking_under_lock", "crates/serve/src/handlers.rs", "fs::metadata(p)?;"),
-    ];
-    fuzz(&Baseline::render(&findings), cases, |text| match Baseline::parse(text) {
-        Ok(b) => {
-            let findings: Vec<Finding> = b
-                .entries
-                .iter()
-                .map(|e| finding(Box::leak(e.rule.clone().into_boxed_str()), &e.file, &e.snippet))
-                .collect();
-            assert_eq!(Baseline::parse(&Baseline::render(&findings)).unwrap().entries, b.entries);
-            true
-        }
-        Err(e) => text_error(e),
-    });
-}
-
 /// A store under `tmp(name)` holding one 72-terminal run: the store, the
 /// run's id and its directory.
 fn stored_run(name: &str) -> (RunStore, String, PathBuf) {
@@ -363,11 +334,6 @@ fn sweep_journal_mutations_never_panic() {
 }
 
 #[test]
-fn lint_baseline_mutations_never_panic() {
-    baselines(0..500);
-}
-
-#[test]
 fn manifest_mutations_never_panic() {
     manifests("manifest", 0..500);
 }
@@ -386,7 +352,6 @@ fn decoder_mutations_never_panic_soak() {
     progress(cases.clone());
     slice_segments(cases.clone());
     journals(cases.clone());
-    baselines(cases.clone());
     manifests("manifestsoak", cases);
 }
 
