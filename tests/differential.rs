@@ -17,14 +17,20 @@
 //! case (k = 4) compares a serial and a streamed run's analytics tables.
 //!
 //! Tier-1 runs [`DRAGONFLY_CASES`] + [`FATTREE_CASES`] cases; the soak
-//! (`cargo test --release --test differential -- --ignored`) runs
+//! (`cargo test --release --test differential -- --ignored soak`) runs
 //! thousands.
+//!
+//! The serial runs of the first cases are also pinned across commits:
+//! `tests/golden/runs.txt` holds one FNV-1a digest per case, and
+//! `cargo test --test differential -- --ignored --exact regenerate_golden_runs`
+//! rewrites it after a deliberate model change.
 
 use hrviz::fattree::{FatTreeConfig, FatTreeSim, UpRouting};
 use hrviz::network::{
     CheckpointOptions, DragonflyConfig, FaultSchedule, JobMeta, NetworkSpec, RoutingAlgorithm,
     Simulation, SliceControl, StreamedOutcome, TerminalId, Topology,
 };
+use hrviz::obs::fingerprint64;
 use hrviz::pdes::SimTime;
 use hrviz::workloads::{generate_synthetic, SyntheticConfig, TrafficPattern};
 
@@ -207,45 +213,65 @@ fn dragonfly_case(case: u64) {
     assert!(format!("{streamed:?}") == want, "{label}: streamed at {window:?} diverged");
 }
 
+/// One generated Fat-Tree (k = 4) configuration.
+struct FatTreeCase {
+    cfg: FatTreeConfig,
+    routing: UpRouting,
+    workload: SyntheticConfig,
+    faults: Option<FaultSchedule>,
+    seed: u64,
+}
+
+impl FatTreeCase {
+    /// Draw a case from `d`; the caller keeps drawing run-mode choices
+    /// from the same stream.
+    fn generate(d: &mut Draw) -> FatTreeCase {
+        let cfg = FatTreeConfig::try_new(4).expect("valid k");
+        let routing = if d.below(2) == 0 { UpRouting::Ecmp } else { UpRouting::Adaptive };
+        let seed = d.below(1 << 32);
+        let workload = SyntheticConfig {
+            pattern: PATTERNS[d.below(PATTERNS.len() as u64) as usize],
+            msg_bytes: 1024 * d.range(1, 8) as u32,
+            msgs_per_rank: d.range(1, 4) as u32,
+            period: SimTime::nanos(d.range(200, 2_000)),
+            stride: 1,
+            seed,
+        };
+        let faults = (d.below(2) == 1).then(|| {
+            FaultSchedule::generate(seed, cfg.num_switches(), cfg.k, d.range(1, 6) as usize, 6_000)
+        });
+        FatTreeCase { cfg, routing, workload, faults, seed }
+    }
+
+    fn build(&self) -> FatTreeSim {
+        let mut sim = FatTreeSim::new(self.cfg, self.routing);
+        if let Some(f) = &self.faults {
+            sim = sim.with_faults(f.clone());
+        }
+        let meta = JobMeta {
+            name: self.workload.pattern.name().into(),
+            terminals: (0..self.cfg.num_hosts()).map(TerminalId).collect(),
+        };
+        let job = sim.add_job(meta.clone());
+        sim.inject_all(generate_synthetic(job, &meta, &self.workload));
+        sim
+    }
+
+    fn label(&self) -> String {
+        format!("{} {} seed={}", self.routing.name(), self.workload.pattern.name(), self.seed)
+    }
+}
+
 /// Run one Fat-Tree case serial and streamed; the analytics tables must
 /// match.
 fn fattree_case(case: u64) {
     let mut d = Draw::new(case ^ 0xFA77);
-    let cfg = FatTreeConfig::try_new(4).expect("valid k");
-    let routing = if d.below(2) == 0 { UpRouting::Ecmp } else { UpRouting::Adaptive };
-    let seed = d.below(1 << 32);
-    let workload = SyntheticConfig {
-        pattern: PATTERNS[d.below(PATTERNS.len() as u64) as usize],
-        msg_bytes: 1024 * d.range(1, 8) as u32,
-        msgs_per_rank: d.range(1, 4) as u32,
-        period: SimTime::nanos(d.range(200, 2_000)),
-        stride: 1,
-        seed,
-    };
-    let faults = (d.below(2) == 1).then(|| {
-        FaultSchedule::generate(seed, cfg.num_switches(), cfg.k, d.range(1, 6) as usize, 6_000)
-    });
-    let build = || {
-        let mut sim = FatTreeSim::new(cfg, routing);
-        if let Some(f) = &faults {
-            sim = sim.with_faults(f.clone());
-        }
-        let meta = JobMeta {
-            name: workload.pattern.name().into(),
-            terminals: (0..cfg.num_hosts()).map(TerminalId).collect(),
-        };
-        let job = sim.add_job(meta.clone());
-        sim.inject_all(generate_synthetic(job, &meta, &workload));
-        sim
-    };
-    let label = format!(
-        "fat-tree case {case} ({} {} seed={seed})",
-        routing.name(),
-        workload.pattern.name()
-    );
-    let serial = build().try_run().unwrap_or_else(|e| panic!("{label}: serial: {e}"));
+    let c = FatTreeCase::generate(&mut d);
+    let label = format!("fat-tree case {case} ({})", c.label());
+    let serial = c.build().try_run().unwrap_or_else(|e| panic!("{label}: serial: {e}"));
     let window = SimTime(d.range(200, serial.end_time.as_nanos().max(200)));
-    let streamed = build()
+    let streamed = c
+        .build()
         .try_run_streamed(window, &mut |_| Ok(SliceControl::Continue))
         .unwrap_or_else(|e| panic!("{label}: streamed: {e}"))
         .completed()
@@ -256,6 +282,56 @@ fn fattree_case(case: u64) {
         format!("{:?}", serial.to_dataset()) == format!("{:?}", streamed.to_dataset()),
         "{label}: streamed at {window:?} diverged"
     );
+}
+
+/// The checked-in run table: one FNV-1a digest per generated case.
+const GOLDEN_RUNS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/runs.txt");
+/// Dragonfly cases pinned by [`GOLDEN_RUNS`].
+const GOLDEN_DRAGONFLY: u64 = 32;
+/// Fat-Tree cases pinned by [`GOLDEN_RUNS`].
+const GOLDEN_FATTREE: u64 = 8;
+
+/// The run table as it should read: the serial run of each of the first
+/// generated cases, hashed over the text the harness compares (a
+/// Dragonfly `RunData`'s `{:?}`, a Fat-Tree run's end time, event count
+/// and analytics tables).
+fn golden_table() -> String {
+    let mut out = String::from(
+        "# FNV-1a of each generated case's serial run (tests/differential.rs).\n\
+         # Regenerate: cargo test --test differential -- --ignored --exact regenerate_golden_runs\n",
+    );
+    for case in 0..GOLDEN_DRAGONFLY {
+        let c = DragonflyCase::generate(case);
+        let run = c.build().try_run().unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let digest = fingerprint64(&format!("{run:?}"));
+        out.push_str(&format!("dragonfly {case:>2} {digest:016x}  {}\n", c.label()));
+    }
+    for case in 0..GOLDEN_FATTREE {
+        let c = FatTreeCase::generate(&mut Draw::new(case ^ 0xFA77));
+        let run = c.build().try_run().unwrap_or_else(|e| panic!("fat-tree case {case}: {e}"));
+        let text = format!("{:?}|{}|{:?}", run.end_time, run.events_processed, run.to_dataset());
+        let digest = fingerprint64(&text);
+        out.push_str(&format!("fattree   {case:>2} {digest:016x}  {}\n", c.label()));
+    }
+    out
+}
+
+/// A model change that moves any run's output fails here, naming the
+/// case; a pure refactor or perf change leaves every line as it is.
+#[test]
+fn golden_run_digests_are_unchanged() {
+    let want = std::fs::read_to_string(GOLDEN_RUNS).expect("tests/golden/runs.txt");
+    let got = golden_table();
+    for (w, g) in want.lines().zip(got.lines()) {
+        assert!(w == g, "golden run table moved:\n  checked in: {w}\n  now:        {g}");
+    }
+    assert_eq!(want.lines().count(), got.lines().count(), "golden run table length");
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/runs.txt; run only for a deliberate model change"]
+fn regenerate_golden_runs() {
+    std::fs::write(GOLDEN_RUNS, golden_table()).expect("write tests/golden/runs.txt");
 }
 
 #[test]
