@@ -103,6 +103,7 @@ impl FatTreeSim {
             let mut lp = TerminalLp::new(
                 TerminalId(hst),
                 cfg.switch_lp(cfg.edge_of_host(hst)),
+                cfg.host_port(hst) as u16,
                 self.links.host,
                 self.packet_bytes,
                 self.vc_buffer_bytes,

@@ -4,12 +4,12 @@
 use crate::config::{FatTreeConfig, Layer, UpRouting};
 use hrviz_faults::{FaultEvent, FaultView};
 use hrviz_network::config::{LinkClass, LinkClassParams, SamplingConfig};
-use hrviz_network::events::{CreditReturn, NetEvent};
+use hrviz_network::events::NetEvent;
 use hrviz_network::node::Switch;
 use hrviz_network::packet::Packet;
 use hrviz_network::port::{OutPort, PortAction};
 use hrviz_network::DropCounters;
-use hrviz_pdes::{Ctx, Lp, LpId, SimTime};
+use hrviz_pdes::{Ctx, Lp, SimTime};
 
 /// Per-class link parameters for the Fat Tree.
 #[derive(Clone, Copy, Debug)]
@@ -52,7 +52,6 @@ pub struct SwitchLp {
     pod: u32,
     /// Index within the layer.
     idx: u32,
-    my_lp: LpId,
     routing: UpRouting,
     ports: Vec<OutPort>,
     faults: FaultView,
@@ -139,7 +138,6 @@ impl SwitchLp {
             layer,
             pod,
             idx,
-            my_lp: cfg.switch_lp(id),
             routing,
             ports,
             faults: FaultView::new(),
@@ -221,24 +219,14 @@ impl SwitchLp {
         self.route_live(pkt).expect("no live route for packet").0
     }
 
-    fn drop_packet(
-        &mut self,
-        ctx: &mut Ctx<'_, NetEvent>,
-        pkt: &Packet,
-        from: CreditReturn,
-        reason: FtDrop,
-    ) {
+    fn drop_packet(&mut self, ctx: &mut Ctx<'_, NetEvent>, pkt: &Packet, reason: FtDrop) {
         match reason {
             FtDrop::SwitchDown => self.drops.router_down += 1,
             FtDrop::NoRoute => self.drops.no_route += 1,
             FtDrop::Ttl => self.drops.ttl += 1,
         }
         self.drops.bytes += pkt.bytes as u64;
-        ctx.send(
-            from.lp,
-            from.latency,
-            NetEvent::Credit { port: from.port, vc: from.vc, bytes: from.bytes },
-        );
+        self.ports[pkt.in_port as usize].return_credit(ctx, pkt);
     }
 
     fn apply(&mut self, ctx: &mut Ctx<'_, NetEvent>, port: usize, action: PortAction) {
@@ -261,18 +249,18 @@ impl Lp<NetEvent> for SwitchLp {
     /// Handle one event.
     fn on_event(&mut self, ctx: &mut Ctx<'_, NetEvent>, ev: NetEvent) {
         match ev {
-            NetEvent::RouterArrive { mut pkt, from } => {
+            NetEvent::RouterArrive { mut pkt } => {
                 pkt.hops = pkt.hops.saturating_add(1);
                 if self.faults.router_dead(self.id) {
-                    self.drop_packet(ctx, &pkt, from, FtDrop::SwitchDown);
+                    self.drop_packet(ctx, &pkt, FtDrop::SwitchDown);
                     return;
                 }
                 if pkt.hops > HOP_LIMIT {
-                    self.drop_packet(ctx, &pkt, from, FtDrop::Ttl);
+                    self.drop_packet(ctx, &pkt, FtDrop::Ttl);
                     return;
                 }
                 let Some((port, rerouted)) = self.route_live(&pkt) else {
-                    self.drop_packet(ctx, &pkt, from, FtDrop::NoRoute);
+                    self.drop_packet(ctx, &pkt, FtDrop::NoRoute);
                     return;
                 };
                 if rerouted {
@@ -280,7 +268,7 @@ impl Lp<NetEvent> for SwitchLp {
                 }
                 // Up/down routing needs no VC escape ordering: the channel
                 // dependency graph of a tree is acyclic on a single VC.
-                let action = self.ports[port].offer(ctx.now(), pkt, 0, from);
+                let action = self.ports[port].offer(ctx.now(), pkt, 0);
                 self.apply(ctx, port, action);
             }
             NetEvent::Credit { port, vc, bytes } => {
@@ -289,23 +277,17 @@ impl Lp<NetEvent> for SwitchLp {
             }
             NetEvent::XmitDone { port } => {
                 let now = ctx.now();
-                let (pkt, vc, from) = self.ports[port as usize].complete_xmit(now);
-                let (peer_lp, latency, class) = {
-                    let p = &self.ports[port as usize];
-                    (p.peer_lp, p.params.latency, p.class)
-                };
-                ctx.send(
-                    from.lp,
-                    from.latency,
-                    NetEvent::Credit { port: from.port, vc: from.vc, bytes: from.bytes },
-                );
-                let next_from =
-                    CreditReturn { lp: self.my_lp, port, vc, bytes: pkt.bytes, latency };
-                if class == LinkClass::Terminal {
-                    ctx.send(peer_lp, latency, NetEvent::TerminalArrive { pkt, from: next_from });
+                let mut pkt = self.ports[port as usize].complete_xmit(now);
+                self.ports[pkt.in_port as usize].return_credit(ctx, &pkt);
+                let out = &self.ports[port as usize];
+                pkt.in_port = out.peer_port as u16;
+                pkt.in_vc = pkt.out_vc;
+                let arrive = if out.class == LinkClass::Terminal {
+                    NetEvent::TerminalArrive { pkt }
                 } else {
-                    ctx.send(peer_lp, latency, NetEvent::RouterArrive { pkt, from: next_from });
-                }
+                    NetEvent::RouterArrive { pkt }
+                };
+                ctx.send(out.peer_lp, out.params.latency, arrive);
                 let action = self.ports[port as usize].after_xmit(now);
                 self.apply(ctx, port as usize, action);
             }
@@ -373,6 +355,9 @@ mod tests {
             global_hops: 0,
             diverted: false,
             plan: RoutePlan::Minimal,
+            in_port: 0,
+            in_vc: 0,
+            out_vc: 0,
         }
     }
 
@@ -411,20 +396,22 @@ mod tests {
     #[test]
     fn wiring_is_consistent_both_ways() {
         let cfg = FatTreeConfig::try_new(6).expect("valid k");
-        // For every switch port, the peer's port at peer_port points back.
+        // For every switch port, the peer's port at peer_port points back
+        // to this very port: credits are returned over that reverse port.
         let links = FtLinks::default();
         let all: Vec<SwitchLp> = (0..cfg.num_switches())
             .map(|id| SwitchLp::new(cfg, id, UpRouting::Ecmp, &links, 1, 1024, None))
             .collect();
         for s in &all {
-            for p in s.ports() {
+            for (i, p) in s.ports().iter().enumerate() {
                 if p.class == LinkClass::Terminal {
                     continue;
                 }
                 let peer_sw = p.peer_lp.0 - cfg.num_hosts();
                 let peer = &all[peer_sw as usize];
                 let back = &peer.ports()[p.peer_port as usize];
-                assert_eq!(back.peer_lp, cfg.switch_lp(s.id), "switch {} port", s.id);
+                assert_eq!(back.peer_lp, cfg.switch_lp(s.id), "switch {} port {i}", s.id);
+                assert_eq!(back.peer_port as usize, i, "switch {} port {i}", s.id);
             }
         }
     }

@@ -12,6 +12,7 @@
 // Test code is exempt: clippy.toml's allow-*-in-tests covers the other three.
 #![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
+use crate::port::MAX_VCS;
 use crate::routing::RoutingAlgorithm;
 use hrviz_faults::HrvizError;
 use hrviz_pdes::SimTime;
@@ -206,8 +207,9 @@ pub struct NetworkSpec {
     pub global_link: LinkClassParams,
     /// Packets are at most this many bytes.
     pub packet_bytes: u32,
-    /// Virtual channels per link (≥ 4 for the stage-ordered deadlock-free
-    /// discipline; see `crate::routing`).
+    /// Virtual channels per link: exactly 4, the stages of the
+    /// stage-ordered deadlock-free discipline (see `crate::routing`); ports
+    /// hold at most [`crate::port::MAX_VCS`] inline.
     pub num_vcs: u8,
     /// Input-buffer bytes per virtual channel (credit pool).
     pub vc_buffer_bytes: u32,
@@ -264,6 +266,12 @@ impl NetworkSpec {
         if self.num_vcs < 4 {
             return Err(HrvizError::config(format!(
                 "stage-ordered VC discipline requires at least 4 VCs, got {}",
+                self.num_vcs
+            )));
+        }
+        if self.num_vcs as usize > MAX_VCS {
+            return Err(HrvizError::config(format!(
+                "ports hold at most {MAX_VCS} VCs (the routing stages use 0-3), got {}",
                 self.num_vcs
             )));
         }
@@ -399,6 +407,15 @@ mod tests {
         s.num_vcs = 3;
         let e = s.validate().unwrap_err();
         assert!(e.to_string().contains("4 VCs"), "{e}");
+    }
+
+    #[test]
+    fn spec_validate_rejects_more_vcs_than_ports_hold() {
+        let mut s = NetworkSpec::new(DragonflyConfig::canonical(2));
+        s.num_vcs = 5;
+        let e = s.validate().unwrap_err();
+        assert!(matches!(e, HrvizError::Config(_)), "{e:?}");
+        assert!(e.to_string().contains("at most 4 VCs"), "{e}");
     }
 
     #[test]

@@ -1,45 +1,25 @@
 //! Event payloads exchanged between terminal and router LPs.
 
 use crate::packet::Packet;
-use crate::snapshot::{decode_credit, decode_packet, encode_credit, encode_packet};
+use crate::snapshot::{decode_packet, encode_packet};
 use hrviz_pdes::wire::{SnapshotError, WirePayload, WireReader, WireWriter};
-use hrviz_pdes::{LpId, SimTime};
-
-/// Where to return the credit once a packet leaves the receiving node, and
-/// how long the return trip takes.
-#[derive(Clone, Copy, Debug)]
-pub struct CreditReturn {
-    /// The upstream LP holding the credit counter.
-    pub lp: LpId,
-    /// Out-port index on the upstream node (ignored for terminals, which
-    /// have a single injection channel).
-    pub port: u16,
-    /// Virtual channel the credit belongs to.
-    pub vc: u8,
-    /// Bytes to release.
-    pub bytes: u32,
-    /// Propagation latency of the reverse channel.
-    pub latency: SimTime,
-}
 
 /// Network simulation event payload.
 #[derive(Clone, Debug)]
 pub enum NetEvent {
     /// Self-scheduled wake-up at a terminal to inject pending messages.
     InjectWake,
-    /// A packet fully arrived at a router input buffer.
+    /// A packet fully arrived at a router input buffer. Its `in_port` /
+    /// `in_vc` name the buffer it occupies.
     RouterArrive {
         /// The packet.
         pkt: Packet,
-        /// Credit bookkeeping for the buffer the packet occupies.
-        from: CreditReturn,
     },
-    /// A packet fully arrived at its destination terminal.
+    /// A packet fully arrived at its destination terminal. Its `in_vc`
+    /// names the VC it held at the router's ejection port.
     TerminalArrive {
         /// The packet.
         pkt: Packet,
-        /// Credit bookkeeping for the router's ejection port.
-        from: CreditReturn,
     },
     /// Downstream freed `bytes` of buffer on (`port`, `vc`).
     Credit {
@@ -66,15 +46,13 @@ impl WirePayload for NetEvent {
     fn encode(&self, w: &mut WireWriter) {
         match self {
             NetEvent::InjectWake => w.put_u8(0),
-            NetEvent::RouterArrive { pkt, from } => {
+            NetEvent::RouterArrive { pkt } => {
                 w.put_u8(1);
                 encode_packet(w, pkt);
-                encode_credit(w, from);
             }
-            NetEvent::TerminalArrive { pkt, from } => {
+            NetEvent::TerminalArrive { pkt } => {
                 w.put_u8(2);
                 encode_packet(w, pkt);
-                encode_credit(w, from);
             }
             NetEvent::Credit { port, vc, bytes } => {
                 w.put_u8(3);
@@ -97,8 +75,8 @@ impl WirePayload for NetEvent {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, SnapshotError> {
         Ok(match r.u8()? {
             0 => NetEvent::InjectWake,
-            1 => NetEvent::RouterArrive { pkt: decode_packet(r)?, from: decode_credit(r)? },
-            2 => NetEvent::TerminalArrive { pkt: decode_packet(r)?, from: decode_credit(r)? },
+            1 => NetEvent::RouterArrive { pkt: decode_packet(r)? },
+            2 => NetEvent::TerminalArrive { pkt: decode_packet(r)? },
             3 => NetEvent::Credit { port: r.u32()? as u16, vc: r.u8()?, bytes: r.u32()? },
             4 => NetEvent::XmitDone { port: r.u32()? as u16 },
             5 => NetEvent::TerminalXmitDone,

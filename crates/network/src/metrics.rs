@@ -203,7 +203,7 @@ impl RunData {
                         let t = topo.terminal_of(rid, port.class_idx);
                         eject_sat[t.0 as usize] = port.sat_ns;
                         eject_traffic[t.0 as usize] = port.traffic;
-                        eject_sat_bins[t.0 as usize] = port.sat_bins.clone();
+                        eject_sat_bins[t.0 as usize] = port.sat_bins.as_deref().cloned();
                     }
                     LinkClass::Local => {
                         if port.class_idx == my_rank {
@@ -220,8 +220,8 @@ impl RunData {
                             dst_port: my_rank,
                             traffic: port.traffic,
                             sat_ns: port.sat_ns,
-                            traffic_bins: port.traffic_bins.clone(),
-                            sat_bins: port.sat_bins.clone(),
+                            traffic_bins: port.traffic_bins.as_deref().cloned(),
+                            sat_bins: port.sat_bins.as_deref().cloned(),
                         });
                     }
                     LinkClass::Global => {
@@ -236,8 +236,8 @@ impl RunData {
                             dst_port: peer_gp,
                             traffic: port.traffic,
                             sat_ns: port.sat_ns,
-                            traffic_bins: port.traffic_bins.clone(),
-                            sat_bins: port.sat_bins.clone(),
+                            traffic_bins: port.traffic_bins.as_deref().cloned(),
+                            sat_bins: port.sat_bins.as_deref().cloned(),
                         });
                     }
                 }
@@ -250,7 +250,7 @@ impl RunData {
             let t = node.as_terminal().expect("terminal LP range");
             let s = &t.stats;
             let idx = t.id.0 as usize;
-            let mut sat_bins = s.sat_bins.clone();
+            let mut sat_bins = s.sat_bins.as_deref().cloned();
             if let (Some(dst), Some(src)) = (&mut sat_bins, &eject_sat_bins[idx]) {
                 dst.merge(src);
             }
@@ -268,11 +268,11 @@ impl RunData {
                 avg_latency_ns: s.avg_latency_ns(),
                 avg_hops: s.avg_hops(),
                 last_arrival: s.last_arrival,
-                traffic_bins: s.traffic_bins.clone(),
+                traffic_bins: s.traffic_bins.as_deref().cloned(),
                 sat_bins,
-                latency_bins: s.latency_bins.clone(),
-                count_bins: s.count_bins.clone(),
-                hops_bins: s.hops_bins.clone(),
+                latency_bins: s.latency_bins.as_deref().cloned(),
+                count_bins: s.count_bins.as_deref().cloned(),
+                hops_bins: s.hops_bins.as_deref().cloned(),
             });
         }
         let _ = eject_traffic; // ejection traffic mirrors recv_bytes

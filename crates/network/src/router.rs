@@ -6,7 +6,7 @@
 //! strategies of [`crate::routing`] hang off the plan-transition step.
 
 use crate::config::{LinkClass, NetworkSpec};
-use crate::events::{CreditReturn, NetEvent};
+use crate::events::NetEvent;
 use crate::node::Switch;
 use crate::packet::{Packet, RoutePlan};
 use crate::port::{OutPort, PortAction};
@@ -17,7 +17,7 @@ use crate::routing::{
 use crate::topology::{GroupId, RouterId, Topology};
 use hrviz_faults::{FaultEvent, FaultView};
 use hrviz_pdes::wire::{SnapshotError, WireReader, WireWriter};
-use hrviz_pdes::{Ctx, Lp, LpId, SimTime};
+use hrviz_pdes::{Ctx, Lp, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -57,7 +57,6 @@ enum DropReason {
 pub struct RouterLp {
     /// This router's id.
     pub id: RouterId,
-    my_lp: LpId,
     topo: Topology,
     routing: RoutingAlgorithm,
     ports: Vec<OutPort>,
@@ -129,7 +128,6 @@ impl RouterLp {
         );
         RouterLp {
             id,
-            my_lp,
             topo,
             routing: spec.routing,
             ports,
@@ -207,13 +205,7 @@ impl RouterLp {
     /// credit so the drop does not consume buffer space forever. The
     /// `drop_without_credit` knob suppresses the return to deliberately
     /// induce a credit leak for auditor tests.
-    fn drop_packet(
-        &mut self,
-        ctx: &mut Ctx<'_, NetEvent>,
-        pkt: &Packet,
-        from: CreditReturn,
-        reason: DropReason,
-    ) {
+    fn drop_packet(&mut self, ctx: &mut Ctx<'_, NetEvent>, pkt: &Packet, reason: DropReason) {
         match reason {
             DropReason::RouterDown => self.drops.router_down += 1,
             DropReason::NoRoute => self.drops.no_route += 1,
@@ -221,11 +213,7 @@ impl RouterLp {
         }
         self.drops.bytes += pkt.bytes as u64;
         if !self.drop_without_credit {
-            ctx.send(
-                from.lp,
-                from.latency,
-                NetEvent::Credit { port: from.port, vc: from.vc, bytes: from.bytes },
-            );
+            self.ports[pkt.in_port as usize].return_credit(ctx, pkt);
         }
     }
 
@@ -283,12 +271,7 @@ impl RouterLp {
         }
     }
 
-    fn route_and_offer(
-        &mut self,
-        ctx: &mut Ctx<'_, NetEvent>,
-        mut pkt: Packet,
-        from: CreditReturn,
-    ) {
+    fn route_and_offer(&mut self, ctx: &mut Ctx<'_, NetEvent>, mut pkt: Packet) {
         let dst_router = self.topo.router_of_terminal(pkt.dst);
         let src_group = self.topo.group_of_router(self.topo.router_of_terminal(pkt.src));
         let my_group = self.topo.group_of_router(self.id);
@@ -297,13 +280,13 @@ impl RouterLp {
         // A down router refuses new work; in-flight traffic already granted
         // credit keeps draining so credit conservation holds.
         if self.faults.router_dead(self.id.0) {
-            self.drop_packet(ctx, &pkt, from, DropReason::RouterDown);
+            self.drop_packet(ctx, &pkt, DropReason::RouterDown);
             return;
         }
         // Hop-limit guard: a packet trapped by churning faults is counted
         // and discarded, never left to cycle forever.
         if pkt.hops > self.hop_limit {
-            self.drop_packet(ctx, &pkt, from, DropReason::Ttl);
+            self.drop_packet(ctx, &pkt, DropReason::Ttl);
             return;
         }
 
@@ -354,7 +337,7 @@ impl RouterLp {
                     self.reroutes += 1;
                 }
                 None => {
-                    self.drop_packet(ctx, &pkt, from, DropReason::NoRoute);
+                    self.drop_packet(ctx, &pkt, DropReason::NoRoute);
                     return;
                 }
             }
@@ -367,7 +350,7 @@ impl RouterLp {
             my_group == dst_group,
         );
         let port = self.step_port(step);
-        let action = self.ports[port].offer(ctx.now(), pkt, vc, from);
+        let action = self.ports[port].offer(ctx.now(), pkt, vc);
         self.apply(ctx, port, action);
     }
 
@@ -390,9 +373,9 @@ impl Lp<NetEvent> for RouterLp {
     /// Handle an event addressed to this router.
     fn on_event(&mut self, ctx: &mut Ctx<'_, NetEvent>, ev: NetEvent) {
         match ev {
-            NetEvent::RouterArrive { mut pkt, from } => {
+            NetEvent::RouterArrive { mut pkt } => {
                 pkt.hops = pkt.hops.saturating_add(1);
-                self.route_and_offer(ctx, pkt, from);
+                self.route_and_offer(ctx, pkt);
             }
             NetEvent::Credit { port, vc, bytes } => {
                 let action = self.ports[port as usize].credit(ctx.now(), vc, bytes);
@@ -400,34 +383,23 @@ impl Lp<NetEvent> for RouterLp {
             }
             NetEvent::XmitDone { port } => {
                 let now = ctx.now();
-                let (mut pkt, vc, from) = self.ports[port as usize].complete_xmit(now);
-                let (peer_lp, latency, class) = {
-                    let p = &self.ports[port as usize];
-                    (p.peer_lp, p.params.latency, p.class)
-                };
+                let mut pkt = self.ports[port as usize].complete_xmit(now);
                 // Return the credit for the buffer the packet just vacated.
-                ctx.send(
-                    from.lp,
-                    from.latency,
-                    NetEvent::Credit { port: from.port, vc: from.vc, bytes: from.bytes },
-                );
-                // Deliver downstream.
-                let next_from =
-                    CreditReturn { lp: self.my_lp, port, vc, bytes: pkt.bytes, latency };
-                match class {
+                self.ports[pkt.in_port as usize].return_credit(ctx, &pkt);
+                // Deliver downstream, into the buffer at the far end.
+                let out = &self.ports[port as usize];
+                pkt.in_port = out.peer_port as u16;
+                pkt.in_vc = pkt.out_vc;
+                match out.class {
                     LinkClass::Terminal => {
-                        ctx.send(
-                            peer_lp,
-                            latency,
-                            NetEvent::TerminalArrive { pkt, from: next_from },
-                        );
+                        ctx.send(out.peer_lp, out.params.latency, NetEvent::TerminalArrive { pkt });
                     }
                     LinkClass::Global => {
                         pkt.global_hops += 1;
-                        ctx.send(peer_lp, latency, NetEvent::RouterArrive { pkt, from: next_from });
+                        ctx.send(out.peer_lp, out.params.latency, NetEvent::RouterArrive { pkt });
                     }
                     LinkClass::Local => {
-                        ctx.send(peer_lp, latency, NetEvent::RouterArrive { pkt, from: next_from });
+                        ctx.send(out.peer_lp, out.params.latency, NetEvent::RouterArrive { pkt });
                     }
                 }
                 let action = self.ports[port as usize].after_xmit(now);
@@ -532,7 +504,7 @@ mod tests {
     use super::*;
     use crate::config::DragonflyConfig;
     use crate::topology::TerminalId;
-    use hrviz_pdes::Event;
+    use hrviz_pdes::{Event, LpId};
 
     fn spec() -> Arc<NetworkSpec> {
         let mut s = NetworkSpec::new(DragonflyConfig::canonical(2)); // g=9, a=4, p=2
@@ -543,7 +515,7 @@ mod tests {
     fn drive(r: &mut RouterLp, now: SimTime, ev: NetEvent) -> Vec<Event<NetEvent>> {
         let mut seq = 0;
         let mut out = Vec::new();
-        let me = r.my_lp;
+        let me = r.topo.router_lp(r.id);
         let mut ctx = Ctx::detached(now, me, &mut seq, &mut out, SimTime(30));
         r.on_event(&mut ctx, ev);
         out
@@ -561,11 +533,48 @@ mod tests {
             global_hops: 0,
             diverted: false,
             plan: RoutePlan::Decide,
+            // Injected by the router's first terminal (LP 0 for router 0).
+            in_port: 0,
+            in_vc: 0,
+            out_vc: 0,
         }
     }
 
-    fn terminal_from(t: u32) -> CreditReturn {
-        CreditReturn { lp: LpId(t), port: 0, vc: 0, bytes: 1024, latency: SimTime(30) }
+    /// Credits are rebuilt from the port a packet arrived through, so every
+    /// link must be wired symmetrically: a router port's peer, at its
+    /// `peer_port`, points back at this very port, and a terminal's router
+    /// port is the ejection port that reaches it.
+    #[test]
+    fn every_port_is_wired_back_through_its_peer_port() {
+        let shapes = [
+            DragonflyConfig::canonical(1),
+            DragonflyConfig::canonical(2),
+            DragonflyConfig::canonical(3),
+            DragonflyConfig::try_paper_scale(2_550).unwrap(),
+        ];
+        for cfg in shapes {
+            let spec = Arc::new(NetworkSpec::new(cfg));
+            let topo = Topology::new(cfg);
+            let routers: Vec<RouterLp> =
+                (0..cfg.num_routers()).map(|r| RouterLp::new(&spec, RouterId(r))).collect();
+            for r in &routers {
+                let me = topo.router_lp(r.id);
+                for (i, p) in r.ports().iter().enumerate() {
+                    let at = format!("{cfg:?} router {} port {i}", r.id.0);
+                    if p.class == LinkClass::Terminal {
+                        let t = topo.terminal_of(r.id, p.class_idx);
+                        assert_eq!(p.peer_lp, topo.terminal_lp(t), "{at}");
+                        assert_eq!(topo.eject_port(topo.terminal_port(t)) as usize, i, "{at}");
+                        continue;
+                    }
+                    let peer = &routers[(p.peer_lp.0 - cfg.num_terminals()) as usize];
+                    let back = &peer.ports()[p.peer_port as usize];
+                    assert_eq!(back.peer_lp, me, "{at}");
+                    assert_eq!(back.peer_port as usize, i, "{at}");
+                    assert_eq!(back.class, p.class, "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -574,11 +583,7 @@ mod tests {
         let topo = Topology::new(spec.topology);
         let mut r = RouterLp::new(&spec, RouterId(0));
         // Terminal 1 lives on router 0 (p=2).
-        let out = drive(
-            &mut r,
-            SimTime(100),
-            NetEvent::RouterArrive { pkt: pkt_to(5, 1), from: terminal_from(5) },
-        );
+        let out = drive(&mut r, SimTime(100), NetEvent::RouterArrive { pkt: pkt_to(5, 1) });
         // Serialization starts immediately: one self XmitDone event.
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].payload, NetEvent::XmitDone { port: 1 }));
@@ -587,11 +592,11 @@ mod tests {
         let out = drive(&mut r, finish, NetEvent::XmitDone { port: 1 });
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0].payload, NetEvent::Credit { .. }));
-        assert_eq!(out[0].key.dst, LpId(5));
+        assert_eq!(out[0].key.dst, LpId(0));
         match &out[1].payload {
-            NetEvent::TerminalArrive { pkt, from } => {
+            NetEvent::TerminalArrive { pkt } => {
                 assert_eq!(pkt.hops, 1);
-                assert_eq!(from.lp, topo.router_lp(RouterId(0)));
+                assert_eq!(pkt.in_vc, 0);
             }
             other => panic!("expected TerminalArrive, got {other:?}"),
         }
@@ -608,11 +613,10 @@ mod tests {
         let dst_router = topo.router_of_terminal(dst);
         let mut current = RouterId(0);
         let mut pkt = pkt_to(0, dst.0);
-        let mut from = terminal_from(0);
         let mut hops = 0;
         loop {
             let mut r = RouterLp::new(&spec, current);
-            let out = drive(&mut r, SimTime(0), NetEvent::RouterArrive { pkt, from });
+            let out = drive(&mut r, SimTime(0), NetEvent::RouterArrive { pkt });
             let xmit = out
                 .iter()
                 .find_map(|e| match e.payload {
@@ -628,12 +632,11 @@ mod tests {
                     assert_eq!(current, dst_router);
                     break;
                 }
-                NetEvent::RouterArrive { pkt: p, from: f } => {
+                NetEvent::RouterArrive { pkt: p } => {
                     // Find which router the event targets.
                     let lp = arrival.key.dst;
                     let rid = RouterId(lp.0 - spec.topology.num_terminals());
                     pkt = *p;
-                    from = *f;
                     current = rid;
                 }
                 other => panic!("unexpected {other:?}"),
@@ -699,14 +702,7 @@ mod tests {
         let spec = Arc::new(s);
         let mut r = RouterLp::new(&spec, RouterId(0));
         // Destination terminal on router 1, same group: local forward.
-        let out = drive(
-            &mut r,
-            SimTime(0),
-            NetEvent::RouterArrive {
-                pkt: pkt_to(0, 2), // terminal 2 → router 1 (p=2)
-                from: terminal_from(0),
-            },
-        );
+        let out = drive(&mut r, SimTime(0), NetEvent::RouterArrive { pkt: pkt_to(0, 2) });
         assert_eq!(out.len(), 1);
         let NetEvent::XmitDone { port } = out[0].payload else { panic!() };
         // local port to rank 1 = p + 1 = 3.
@@ -718,24 +714,16 @@ mod tests {
         let spec = spec();
         let mut r = RouterLp::new(&spec, RouterId(0));
         let _ = drive(&mut r, SimTime(0), NetEvent::Fault(FaultEvent::RouterDown { router: 0 }));
-        let out = drive(
-            &mut r,
-            SimTime(10),
-            NetEvent::RouterArrive { pkt: pkt_to(5, 1), from: terminal_from(5) },
-        );
+        let out = drive(&mut r, SimTime(10), NetEvent::RouterArrive { pkt: pkt_to(5, 1) });
         // Upstream credit comes back; nothing is forwarded.
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].payload, NetEvent::Credit { bytes: 1024, .. }));
-        assert_eq!(out[0].key.dst, LpId(5));
+        assert_eq!(out[0].key.dst, LpId(0));
         assert_eq!(r.drops().router_down, 1);
         assert_eq!(r.drops().bytes, 1024);
         // RouterUp restores service.
         let _ = drive(&mut r, SimTime(20), NetEvent::Fault(FaultEvent::RouterUp { router: 0 }));
-        let out = drive(
-            &mut r,
-            SimTime(30),
-            NetEvent::RouterArrive { pkt: pkt_to(5, 1), from: terminal_from(5) },
-        );
+        let out = drive(&mut r, SimTime(30), NetEvent::RouterArrive { pkt: pkt_to(5, 1) });
         assert!(matches!(out[0].payload, NetEvent::XmitDone { .. }));
     }
 
@@ -745,8 +733,7 @@ mod tests {
         let mut r = RouterLp::new(&spec, RouterId(0));
         let mut p = pkt_to(5, 1);
         p.hops = spec.hop_limit; // arrival increments past the limit
-        let out =
-            drive(&mut r, SimTime(0), NetEvent::RouterArrive { pkt: p, from: terminal_from(5) });
+        let out = drive(&mut r, SimTime(0), NetEvent::RouterArrive { pkt: p });
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].payload, NetEvent::Credit { .. }));
         assert_eq!(r.drops().ttl, 1);
@@ -769,10 +756,7 @@ mod tests {
         let out = drive(
             &mut r,
             SimTime(10),
-            NetEvent::RouterArrive {
-                pkt: pkt_to(src_terminal.0, dst.0),
-                from: terminal_from(src_terminal.0),
-            },
+            NetEvent::RouterArrive { pkt: pkt_to(src_terminal.0, dst.0) },
         );
         assert!(matches!(out[0].payload, NetEvent::Credit { .. }));
         assert_eq!(r.drops().no_route, 1);
@@ -799,10 +783,7 @@ mod tests {
         let out = drive(
             &mut r,
             SimTime(10),
-            NetEvent::RouterArrive {
-                pkt: pkt_to(src_terminal.0, dst.0),
-                from: terminal_from(src_terminal.0),
-            },
+            NetEvent::RouterArrive { pkt: pkt_to(src_terminal.0, dst.0) },
         );
         // The packet is granted on some live port instead of being dropped.
         assert!(matches!(out[0].payload, NetEvent::XmitDone { .. }));
@@ -820,18 +801,10 @@ mod tests {
             SimTime(0),
             NetEvent::Fault(FaultEvent::DegradedLink { router: 0, port: 1, factor: 0.5 }),
         );
-        let out = drive(
-            &mut r,
-            SimTime(0),
-            NetEvent::RouterArrive { pkt: pkt_to(5, 1), from: terminal_from(5) },
-        );
+        let out = drive(&mut r, SimTime(0), NetEvent::RouterArrive { pkt: pkt_to(5, 1) });
         let healthy = {
             let mut r2 = RouterLp::new(&spec, RouterId(0));
-            let out2 = drive(
-                &mut r2,
-                SimTime(0),
-                NetEvent::RouterArrive { pkt: pkt_to(5, 1), from: terminal_from(5) },
-            );
+            let out2 = drive(&mut r2, SimTime(0), NetEvent::RouterArrive { pkt: pkt_to(5, 1) });
             out2[0].key.time
         };
         assert!(out[0].key.time > healthy);
@@ -852,10 +825,7 @@ mod tests {
         let out = drive(
             &mut r,
             SimTime(0),
-            NetEvent::RouterArrive {
-                pkt: pkt_to(src_terminal.0, dst.0),
-                from: terminal_from(src_terminal.0),
-            },
+            NetEvent::RouterArrive { pkt: pkt_to(src_terminal.0, dst.0) },
         );
         let NetEvent::XmitDone { port } = out[0].payload else { panic!() };
         let out = drive(&mut r, SimTime(1000), NetEvent::XmitDone { port });

@@ -11,6 +11,7 @@ use crate::driver::{self, Boundary, CheckpointOptions, CheckpointSink, Mode};
 use crate::metrics::RunData;
 use crate::node::{NetNode, Node};
 use crate::packet::JobId;
+use crate::port::MAX_VCS;
 use crate::router::RouterLp;
 use crate::terminal::TerminalLp;
 use crate::topology::{RouterId, TerminalId, Topology};
@@ -38,8 +39,8 @@ impl Simulation {
     pub fn new(spec: NetworkSpec) -> Self {
         let topo = Topology::new(spec.topology);
         assert!(
-            spec.num_vcs >= 4,
-            "the stage-ordered VC discipline requires at least 4 VCs (got {})",
+            spec.num_vcs as usize == MAX_VCS,
+            "the stage-ordered VC discipline uses exactly {MAX_VCS} VCs (got {})",
             spec.num_vcs
         );
         let nt = spec.topology.num_terminals() as usize;
@@ -119,6 +120,7 @@ impl Simulation {
             let mut lp = TerminalLp::new(
                 tid,
                 self.topo.router_lp(self.topo.router_of_terminal(tid)),
+                self.topo.eject_port(self.topo.terminal_port(tid)) as u16,
                 self.spec.terminal_link,
                 self.spec.packet_bytes,
                 self.spec.vc_buffer_bytes,

@@ -2,16 +2,15 @@
 //!
 //! The per-LP `snapshot`/`restore` implementations (terminal, router, out
 //! port) and the [`crate::events::NetEvent`] payload codec all serialize
-//! the same few building blocks — packets, credit returns, optional
-//! sampling bins, optional timestamps. Keeping the codecs here means one
+//! the same few building blocks — packets (with their arrival link),
+//! optional sampling bins, optional timestamps. Keeping the codecs here means one
 //! place defines each wire layout.
 
-use crate::events::CreditReturn;
 use crate::packet::{JobId, Packet, RoutePlan};
 use crate::sampling::Bins;
 use crate::topology::{GroupId, TerminalId};
 use hrviz_pdes::wire::{SnapshotError, WireReader, WireWriter};
-use hrviz_pdes::{LpId, SimTime};
+use hrviz_pdes::SimTime;
 
 pub(crate) fn encode_packet(w: &mut WireWriter, p: &Packet) {
     w.put_u64(p.id);
@@ -32,6 +31,9 @@ pub(crate) fn encode_packet(w: &mut WireWriter, p: &Packet) {
             w.put_u32(g.0);
         }
     }
+    w.put_u32(p.in_port as u32);
+    w.put_u8(p.in_vc);
+    w.put_u8(p.out_vc);
 }
 
 pub(crate) fn decode_packet(r: &mut WireReader<'_>) -> Result<Packet, SnapshotError> {
@@ -52,24 +54,9 @@ pub(crate) fn decode_packet(r: &mut WireReader<'_>) -> Result<Packet, SnapshotEr
             3 => RoutePlan::Via(GroupId(r.u32()?)),
             other => return Err(SnapshotError::Corrupt(format!("bad route-plan tag {other}"))),
         },
-    })
-}
-
-pub(crate) fn encode_credit(w: &mut WireWriter, c: &CreditReturn) {
-    w.put_u32(c.lp.0);
-    w.put_u32(c.port as u32);
-    w.put_u8(c.vc);
-    w.put_u32(c.bytes);
-    w.put_u64(c.latency.as_nanos());
-}
-
-pub(crate) fn decode_credit(r: &mut WireReader<'_>) -> Result<CreditReturn, SnapshotError> {
-    Ok(CreditReturn {
-        lp: LpId(r.u32()?),
-        port: r.u32()? as u16,
-        vc: r.u8()?,
-        bytes: r.u32()?,
-        latency: SimTime(r.u64()?),
+        in_port: r.u32()? as u16,
+        in_vc: r.u8()?,
+        out_vc: r.u8()?,
     })
 }
 
@@ -90,7 +77,7 @@ pub(crate) fn decode_opt_time(r: &mut WireReader<'_>) -> Result<Option<SimTime>,
 /// Bins presence is static configuration (the sampling config), so the
 /// codec only carries the accumulated values; a presence flag catches a
 /// snapshot restored under a different sampling config.
-pub(crate) fn encode_opt_bins(w: &mut WireWriter, b: &Option<Bins>) {
+pub(crate) fn encode_opt_bins(w: &mut WireWriter, b: &Option<Box<Bins>>) {
     match b {
         None => w.put_bool(false),
         Some(bins) => {
@@ -106,7 +93,7 @@ pub(crate) fn encode_opt_bins(w: &mut WireWriter, b: &Option<Bins>) {
 
 pub(crate) fn decode_opt_bins(
     r: &mut WireReader<'_>,
-    b: &mut Option<Bins>,
+    b: &mut Option<Box<Bins>>,
 ) -> Result<(), SnapshotError> {
     let present = r.bool()?;
     match (present, b.as_mut()) {

@@ -7,7 +7,7 @@
 //! per-terminal metrics of the paper's Fig. 2(a).
 
 use crate::config::{LinkClassParams, SamplingConfig};
-use crate::events::{CreditReturn, NetEvent};
+use crate::events::NetEvent;
 use crate::packet::{JobId, Packet, RoutePlan, NO_JOB};
 use crate::sampling::Bins;
 use crate::snapshot::{
@@ -43,15 +43,15 @@ pub struct TerminalStats {
     /// Arrival time of the last received packet.
     pub last_arrival: SimTime,
     /// Optional per-bin injected bytes.
-    pub traffic_bins: Option<Bins>,
+    pub traffic_bins: Option<Box<Bins>>,
     /// Optional per-bin injection-blocked ns.
-    pub sat_bins: Option<Bins>,
+    pub sat_bins: Option<Box<Bins>>,
     /// Optional per-bin latency sums (ns) of received packets.
-    pub latency_bins: Option<Bins>,
+    pub latency_bins: Option<Box<Bins>>,
     /// Optional per-bin received packet counts.
-    pub count_bins: Option<Bins>,
+    pub count_bins: Option<Box<Bins>>,
     /// Optional per-bin hop sums of received packets.
-    pub hops_bins: Option<Bins>,
+    pub hops_bins: Option<Box<Bins>>,
 }
 
 impl TerminalStats {
@@ -82,6 +82,9 @@ pub struct TerminalLp {
     /// Job assigned to this terminal ([`NO_JOB`] when idle).
     pub job: JobId,
     router_lp: LpId,
+    /// The router's ejection port to this terminal: injected packets
+    /// occupy its peer buffer, so their credit comes back to this port.
+    router_port: u16,
     link: LinkClassParams,
     packet_bytes: u32,
     credits: i64,
@@ -98,10 +101,12 @@ pub struct TerminalLp {
 }
 
 impl TerminalLp {
-    /// Create a terminal attached to `router_lp`.
+    /// Create a terminal attached to `router_lp`, whose ejection port
+    /// `router_port` is the other end of this terminal's link.
     pub fn new(
         id: TerminalId,
         router_lp: LpId,
+        router_port: u16,
         link: LinkClassParams,
         packet_bytes: u32,
         vc_buffer_bytes: u32,
@@ -109,16 +114,18 @@ impl TerminalLp {
     ) -> Self {
         let mut stats = TerminalStats::default();
         if let Some(s) = sampling {
-            stats.traffic_bins = Some(Bins::new(s));
-            stats.sat_bins = Some(Bins::new(s));
-            stats.latency_bins = Some(Bins::new(s));
-            stats.count_bins = Some(Bins::new(s));
-            stats.hops_bins = Some(Bins::new(s));
+            let bins = || Some(Box::new(Bins::new(s)));
+            stats.traffic_bins = bins();
+            stats.sat_bins = bins();
+            stats.latency_bins = bins();
+            stats.count_bins = bins();
+            stats.hops_bins = bins();
         }
         TerminalLp {
             id,
             job: NO_JOB,
             router_lp,
+            router_port,
             link,
             packet_bytes,
             credits: vc_buffer_bytes as i64,
@@ -189,6 +196,9 @@ impl TerminalLp {
                 global_hops: 0,
                 diverted: false,
                 plan: RoutePlan::Decide,
+                in_port: 0,
+                in_vc: 0,
+                out_vc: 0,
             });
             self.next_pkt += 1;
         }
@@ -242,22 +252,19 @@ impl TerminalLp {
                 self.try_xmit(ctx);
             }
             NetEvent::TerminalXmitDone => {
-                let pkt = self.in_flight.take().expect("xmit done with nothing in flight");
-                let from = CreditReturn {
-                    lp: ctx.me(),
-                    port: 0,
-                    vc: 0,
-                    bytes: pkt.bytes,
-                    latency: self.link.latency,
-                };
-                ctx.send(self.router_lp, self.link.latency, NetEvent::RouterArrive { pkt, from });
+                let mut pkt = self.in_flight.take().expect("xmit done with nothing in flight");
+                // The packet lands in the buffer behind the router's
+                // ejection port to this terminal, on the one injection VC.
+                pkt.in_port = self.router_port;
+                pkt.in_vc = 0;
+                ctx.send(self.router_lp, self.link.latency, NetEvent::RouterArrive { pkt });
                 self.try_xmit(ctx);
             }
             NetEvent::Credit { bytes, .. } => {
                 self.credits += bytes as i64;
                 self.try_xmit(ctx);
             }
-            NetEvent::TerminalArrive { pkt, from } => {
+            NetEvent::TerminalArrive { pkt } => {
                 let now = ctx.now();
                 debug_assert_eq!(pkt.dst, self.id);
                 let latency = (now - pkt.inject_time).as_nanos();
@@ -275,11 +282,12 @@ impl TerminalLp {
                 if let Some(b) = &mut self.stats.hops_bins {
                     b.add_at(now, pkt.hops as u64);
                 }
-                // Consumption is instant: return the ejection-buffer credit.
+                // Consumption is instant: return the ejection-buffer credit
+                // to the router port the packet left through.
                 ctx.send(
-                    from.lp,
-                    from.latency,
-                    NetEvent::Credit { port: from.port, vc: from.vc, bytes: from.bytes },
+                    self.router_lp,
+                    self.link.latency,
+                    NetEvent::Credit { port: self.router_port, vc: pkt.in_vc, bytes: pkt.bytes },
                 );
             }
             NetEvent::RouterArrive { .. } | NetEvent::XmitDone { .. } | NetEvent::Fault(_) => {
@@ -390,7 +398,7 @@ mod tests {
     }
 
     fn terminal(buf: u32) -> TerminalLp {
-        TerminalLp::new(TerminalId(0), LpId(100), link(), 100, buf, None)
+        TerminalLp::new(TerminalId(0), LpId(100), 3, link(), 100, buf, None)
     }
 
     fn msg(time: u64, dst: u32, bytes: u64) -> MsgInjection {
@@ -434,7 +442,7 @@ mod tests {
         let out = drive(&mut t, SimTime(100), NetEvent::TerminalXmitDone);
         // RouterArrive to the router + next self xmit.
         assert_eq!(out.len(), 2);
-        assert!(matches!(out[0].payload, NetEvent::RouterArrive { .. }));
+        assert!(matches!(out[0].payload, NetEvent::RouterArrive { pkt } if pkt.in_port == 3));
         assert_eq!(out[0].key.dst, LpId(100));
         assert_eq!(out[0].key.time, SimTime(110)); // +latency
         assert_eq!(t.stats.packets_sent, 2);
@@ -479,16 +487,19 @@ mod tests {
             global_hops: 1,
             diverted: false,
             plan: RoutePlan::Minimal,
+            in_port: 0,
+            in_vc: 2,
+            out_vc: 2,
         };
-        let from = CreditReturn { lp: LpId(100), port: 3, vc: 0, bytes: 100, latency: SimTime(10) };
-        let out = drive(&mut t, SimTime(850), NetEvent::TerminalArrive { pkt, from });
+        let out = drive(&mut t, SimTime(850), NetEvent::TerminalArrive { pkt });
         assert_eq!(t.stats.packets_finished, 1);
         assert_eq!(t.stats.latency_sum_ns, 800);
         assert_eq!(t.stats.hops_sum, 4);
         assert_eq!(t.stats.avg_latency_ns(), 800.0);
         assert_eq!(t.stats.avg_hops(), 4.0);
         assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].payload, NetEvent::Credit { port: 3, vc: 0, bytes: 100 }));
+        assert!(matches!(out[0].payload, NetEvent::Credit { port: 3, vc: 2, bytes: 100 }));
+        assert_eq!(out[0].key.dst, LpId(100));
     }
 
     #[test]

@@ -16,8 +16,9 @@ use hrviz_obs::{Collector, Json};
 /// Magic prefix of an engine snapshot (`"hrvZ"`), followed by a format
 /// version. Restore rejects anything else as corrupt.
 const SNAPSHOT_MAGIC: u32 = 0x6872_765a;
-/// Current snapshot format version.
-const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version. Version 2: network packets carry
+/// their arrival link and ports queue bare packets (no credit returns).
+const SNAPSHOT_VERSION: u32 = 2;
 
 /// Aggregate statistics for a completed (or paused) run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -805,6 +806,21 @@ mod tests {
         // Wrong LP count: model mismatch must be caught, not misapplied.
         let mut wrong_shape = ring(4, 5);
         assert!(matches!(wrong_shape.restore(&snap), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
+    fn restore_refuses_a_version_1_snapshot() {
+        let mut eng = ring(3, 5);
+        eng.run_until(SimTime(25));
+        let mut old = eng.snapshot().unwrap();
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut fresh = ring(3, 5);
+        match fresh.restore(&old) {
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert_eq!(msg, format!("snapshot version 1 (engine supports {SNAPSHOT_VERSION})"))
+            }
+            other => panic!("a version-1 snapshot must be refused, got {other:?}"),
+        }
     }
 
     #[test]
