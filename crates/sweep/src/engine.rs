@@ -182,7 +182,9 @@ impl SweepEngine {
 
         // Seed (or merge) the journal: completed hits stay completed with
         // their recorded attempts; misses queue up.
-        let mut journal = SweepJournal::load(&self.store, &sweep_id)
+        let loaded = SweepJournal::load(&self.store, &sweep_id);
+        let mut journal = loaded
+            .clone()
             .unwrap_or_else(|| SweepJournal::new(sweep_id.clone(), spec.name.clone()));
         for cfg in &hits {
             journal.record(&cfg.run_id(), RunState::Completed, false);
@@ -206,7 +208,11 @@ impl SweepEngine {
             // Record the bump this sweep owes, before any simulation.
             journal.pending_generation = self.store.generation() + 1;
         }
-        journal.persist(&self.store)?;
+        // An all-hit rerun finds the journal exactly as it left it: skip
+        // the write (and its fsyncs). A missing or damaged one is written.
+        if loaded.as_ref() != Some(&journal) {
+            journal.persist(&self.store)?;
+        }
 
         obs.counter_add("sweep/store_hit", hits.len() as u64);
         obs.counter_add("sweep/store_miss", misses.len() as u64);
@@ -549,6 +555,26 @@ mod tests {
         assert_eq!(warm.generation, 1, "all-hit sweeps do not invalidate caches");
         assert_eq!(warm.run_ids, cold.run_ids);
         assert_eq!(warm.sweep_id, cold.sweep_id);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_all_hit_sweep_writes_nothing() {
+        let root = tmp("all-hit-quiet");
+        let cold = SweepEngine::new(RunStore::open(&root).unwrap()).run(&grid()).unwrap();
+        let journal = root.join("sweeps").join(format!("{}.json", cold.sweep_id));
+        let before = std::fs::read(&journal).unwrap();
+        let mtime = || std::fs::metadata(&journal).unwrap().modified().unwrap();
+        let stamp = mtime();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+
+        let probe = CrashPlan::after_ops(u64::MAX, CrashMode::BeforeWrite);
+        let store = RunStore::open(&root).unwrap().with_crash_plan(probe.clone());
+        let warm = SweepEngine::new(store).run(&grid()).unwrap();
+        assert_eq!(warm.store_hits, 4);
+        assert_eq!(probe.ops_seen(), 0, "an all-hit sweep makes no store write");
+        assert_eq!(std::fs::read(&journal).unwrap(), before);
+        assert_eq!(mtime(), stamp, "the journal is not rewritten");
         let _ = std::fs::remove_dir_all(&root);
     }
 
