@@ -128,7 +128,8 @@ impl fmt::Display for RunOutput {
 /// Flags that take no value: presence alone means `true`.
 const BOOL_FLAGS: &[&str] = &["resume"];
 
-/// Parse an argument vector (without the program name).
+/// Parse an argument vector (without the program name), rejecting flags
+/// the subcommand does not accept.
 pub fn parse_args(args: &[String]) -> Result<Cli, HrvizError> {
     let Some(command) = args.first() else {
         return err(USAGE);
@@ -153,7 +154,9 @@ pub fn parse_args(args: &[String]) -> Result<Cli, HrvizError> {
             i += 1;
         }
     }
-    Ok(Cli { command: command.clone(), positional, options })
+    let cli = Cli { command: command.clone(), positional, options };
+    validate_flags(&cli)?;
+    Ok(cli)
 }
 
 /// Usage text.
@@ -718,7 +721,6 @@ fn stream_options_of(cli: &Cli) -> Result<Option<StreamOptions>, HrvizError> {
 
 /// Run a parsed command.
 pub fn run(cli: &Cli) -> Result<RunOutput, HrvizError> {
-    validate_flags(cli)?;
     let (mut collector, trace_path) = collector_of(cli)?;
     // A server's /metricsz must be live regardless of tracing flags.
     if cli.command == "serve" && !collector.is_enabled() {
@@ -1349,14 +1351,15 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_with_the_allowlist() {
-        let cli = parse_args(&args(&["view", "--terminls", "72"])).unwrap();
-        let e = run(&cli).unwrap_err().to_string();
+        let e = parse_args(&args(&["view", "--terminls", "72"])).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "a bad flag is a usage error");
+        let e = e.to_string();
         assert!(e.contains("unknown flag --terminls for 'view'"), "got: {e}");
         assert!(e.contains("--terminals"), "error should list accepted flags: {e}");
         assert!(e.contains("--trace-out"), "error should list common flags: {e}");
         // check takes only positionals (plus the common flags).
-        let cli = parse_args(&args(&["check", "f.hrviz", "--svg", "x"])).unwrap();
-        assert!(run(&cli).unwrap_err().to_string().contains("unknown flag --svg"));
+        let e = parse_args(&args(&["check", "f.hrviz", "--svg", "x"])).unwrap_err();
+        assert!(e.to_string().contains("unknown flag --svg"));
     }
 
     #[test]

@@ -1,21 +1,17 @@
 //! Every `hrviz …` command shown in a fenced block of the README or the
-//! verify skill goes through the real argument parser and the real
-//! per-subcommand flag allowlist. Nothing is executed.
+//! verify skill goes through the real argument parser, which also checks
+//! the per-subcommand flag allowlist. Nothing is executed.
 //!
 //! A command starts after `hrviz`, `target/release/hrviz`, or the `--`
 //! that follows `cargo run … --bin hrviz`. Lines ending in `\` continue
 //! the command; a shell operator (`||`, `&&`, `|`, `&`, `;`) or a `#`
 //! comment ends it; `...`/`…` placeholders are skipped.
 
-use hrviz_cli::{parse_args, run, USAGE};
+use hrviz_cli::{parse_args, USAGE};
 use std::path::Path;
 
 /// The documents whose commands are checked, relative to the workspace root.
 const DOCS: [&str; 2] = ["README.md", ".claude/skills/verify/SKILL.md"];
-
-/// A flag no subcommand accepts: appended to each command so that [`run`]
-/// stops at its flag check, before it touches anything.
-const SENTINEL: &str = "--documented-commands-sentinel";
 
 /// The logical lines of every fenced block in `text`, `\` continuations
 /// joined, each with the 1-based line it starts on.
@@ -98,24 +94,9 @@ fn documented_hrviz_commands_parse_and_use_accepted_flags() {
         for (line_no, line) in fenced_lines(&text) {
             for args in commands(&line) {
                 let at = format!("{doc}:{line_no}: hrviz {}", args.join(" "));
+                // `parse_args` rejects any flag the subcommand does not take.
                 let cli = parse_args(&args).unwrap_or_else(|e| panic!("{at}: {e}"));
                 assert!(known.contains(&cli.command.as_str()), "{at}: unknown subcommand");
-                // With the sentinel appended, `run` must fail at its flag
-                // check, and the error lists the flags the subcommand takes.
-                let mut probe = args.clone();
-                probe.extend([SENTINEL.to_string(), "x".to_string()]);
-                let err = match run(&parse_args(&probe).unwrap_or_else(|e| panic!("{at}: {e}"))) {
-                    Ok(_) => panic!("{at}: ran past the flag check"),
-                    Err(e) => e.to_string(),
-                };
-                let (_, accepted) = err
-                    .split_once("accepted flags: ")
-                    .unwrap_or_else(|| panic!("{at}: not a flag-check error: {err}"));
-                let accepted: Vec<&str> = accepted.split_whitespace().collect();
-                for key in cli.options.keys() {
-                    let flag = format!("--{key}");
-                    assert!(accepted.contains(&flag.as_str()), "{at}: {flag} is not accepted");
-                }
                 checked += 1;
             }
         }
