@@ -277,17 +277,9 @@ impl Lp<NetEvent> for SwitchLp {
             }
             NetEvent::XmitDone { port } => {
                 let now = ctx.now();
-                let mut pkt = self.ports[port as usize].complete_xmit(now);
+                let pkt = self.ports[port as usize].complete_xmit(now);
                 self.ports[pkt.in_port as usize].return_credit(ctx, &pkt);
-                let out = &self.ports[port as usize];
-                pkt.in_port = out.peer_port as u16;
-                pkt.in_vc = pkt.out_vc;
-                let arrive = if out.class == LinkClass::Terminal {
-                    NetEvent::TerminalArrive { pkt }
-                } else {
-                    NetEvent::RouterArrive { pkt }
-                };
-                ctx.send(out.peer_lp, out.params.latency, arrive);
+                self.ports[port as usize].deliver(ctx, pkt);
                 let action = self.ports[port as usize].after_xmit(now);
                 self.apply(ctx, port as usize, action);
             }

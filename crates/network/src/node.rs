@@ -111,16 +111,14 @@ impl<S: Switch> Lp<NetEvent> for Node<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Packet;
     use hrviz_pdes::Event;
     use std::mem::size_of;
 
     /// The layout budgets a paper-scale run's working set is sized by:
-    /// the calendar holds `Event<NetEvent>`s, port queues hold bare
-    /// packets, and the LP table holds one `NetNode` per terminal/router.
+    /// the calendar holds `Event<NetEvent>`s and the LP table one
+    /// `NetNode` per terminal/router (packets: `packet.rs`).
     #[test]
     fn hot_types_stay_within_their_size_budgets() {
-        assert!(size_of::<Packet>() <= 48, "Packet is {} B", size_of::<Packet>());
         let event = size_of::<Event<NetEvent>>();
         assert!(event <= 80, "Event<NetEvent> is {event} B");
         assert!(size_of::<NetNode>() <= 296, "NetNode is {} B", size_of::<NetNode>());

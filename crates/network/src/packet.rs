@@ -85,5 +85,8 @@ mod tests {
         };
         let q = p; // Copy
         assert_eq!(q.bytes, p.bytes);
+        // The arrival-link fields fit the padding: port queues and the
+        // calendar's events hold packets by value.
+        assert!(std::mem::size_of::<Packet>() <= 48, "packets must stay 48 bytes");
     }
 }

@@ -12,8 +12,9 @@
 //! per-VC count keeps "park behind" O(1). A packet carries the link it
 //! arrived over (`in_port`, `in_vc`), so when it leaves a node the credit
 //! for the buffer it vacated is rebuilt from that port alone
-//! ([`OutPort::return_credit`]): every port's `peer_port` must point back
-//! at the port it is wired to.
+//! ([`OutPort::return_credit`]), and [`OutPort::deliver`] stamps it on the
+//! way out: every port's `peer_port` must point back at the port it is
+//! wired to.
 
 use crate::config::{LinkClass, LinkClassParams, SamplingConfig};
 use crate::events::NetEvent;
@@ -32,7 +33,7 @@ use std::collections::VecDeque;
 pub const MAX_VCS: usize = 4;
 
 /// One virtual channel of an out port.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct VcState {
     credits: i64,
     /// Smallest credit level ever seen (peak downstream-buffer occupancy).
@@ -164,6 +165,19 @@ impl OutPort {
             self.params.latency,
             NetEvent::Credit { port: self.peer_port as u16, vc: pkt.in_vc, bytes: pkt.bytes },
         );
+    }
+
+    /// Send a packet that finished serializing on this port into the
+    /// buffer at the link's far end: it arrives through the peer's
+    /// `peer_port`, holding the VC it was granted here.
+    pub fn deliver(&self, ctx: &mut Ctx<'_, NetEvent>, mut pkt: Packet) {
+        pkt.in_port = self.peer_port as u16;
+        pkt.in_vc = pkt.out_vc;
+        let arrive = match self.class {
+            LinkClass::Terminal => NetEvent::TerminalArrive { pkt },
+            LinkClass::Local | LinkClass::Global => NetEvent::RouterArrive { pkt },
+        };
+        ctx.send(self.peer_lp, self.params.latency, arrive);
     }
 
     /// End-of-run invariant check: with the network drained, every credit

@@ -386,22 +386,11 @@ impl Lp<NetEvent> for RouterLp {
                 let mut pkt = self.ports[port as usize].complete_xmit(now);
                 // Return the credit for the buffer the packet just vacated.
                 self.ports[pkt.in_port as usize].return_credit(ctx, &pkt);
-                // Deliver downstream, into the buffer at the far end.
                 let out = &self.ports[port as usize];
-                pkt.in_port = out.peer_port as u16;
-                pkt.in_vc = pkt.out_vc;
-                match out.class {
-                    LinkClass::Terminal => {
-                        ctx.send(out.peer_lp, out.params.latency, NetEvent::TerminalArrive { pkt });
-                    }
-                    LinkClass::Global => {
-                        pkt.global_hops += 1;
-                        ctx.send(out.peer_lp, out.params.latency, NetEvent::RouterArrive { pkt });
-                    }
-                    LinkClass::Local => {
-                        ctx.send(out.peer_lp, out.params.latency, NetEvent::RouterArrive { pkt });
-                    }
+                if out.class == LinkClass::Global {
+                    pkt.global_hops += 1;
                 }
+                out.deliver(ctx, pkt);
                 let action = self.ports[port as usize].after_xmit(now);
                 self.apply(ctx, port as usize, action);
             }
